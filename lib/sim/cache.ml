@@ -5,7 +5,8 @@ type state = I | S | E | M
    (0=I 1=S 2=E 3=M), [lrus] its LRU stamp from the global [tick]. No
    per-way records to chase — a probe is a short scan over contiguous
    ints, and the hot path addresses a hit by slot index so it never scans
-   twice. *)
+   twice. Nothing on these paths allocates: [insert] reports its victim
+   through [victim_st] instead of returning an option/tuple. *)
 type t = {
   sets_log2 : int;
   ways : int;
@@ -13,6 +14,7 @@ type t = {
   sts : int array;
   lrus : int array;
   mutable tick : int;
+  mutable victim_st : int;  (* state of the last [insert]'s victim *)
 }
 
 let[@inline] int_of_st = function I -> 0 | S -> 1 | E -> 2 | M -> 3
@@ -28,24 +30,26 @@ let create ~sets_log2 ~ways =
     sts = Array.make slots 0;
     lrus = Array.make slots 0;
     tick = 0;
+    victim_st = 0;
   }
 
 (* Hot slot-addressed interface ---------------------------------------- *)
 
 (* Slot index of [line] if resident (state <> I), else -1. All slot
    arithmetic stays within [lines] by construction, so the scans use
-   unchecked reads. *)
-let[@inline] probe t line =
+   unchecked reads. A plain loop, not a local recursive function: without
+   flambda the latter is a closure allocated on every probe. *)
+let probe t line =
   let base = (line land ((1 lsl t.sets_log2) - 1)) * t.ways in
   let lim = base + t.ways in
-  let rec go i =
-    if i >= lim then -1
-    else if
-      Array.unsafe_get t.lines i = line && Array.unsafe_get t.sts i <> 0
-    then i
-    else go (i + 1)
-  in
-  go base
+  let i = ref base in
+  while
+    !i < lim
+    && not (Array.unsafe_get t.lines !i = line && Array.unsafe_get t.sts !i <> 0)
+  do
+    incr i
+  done;
+  if !i < lim then !i else -1
 
 let[@inline] state_at t slot = st_of_int (Array.unsafe_get t.sts slot)
 
@@ -107,16 +111,19 @@ let insert t line st =
     t.lines.(i) <- line;
     t.sts.(i) <- int_of_st st;
     bump t i;
-    None
+    -1
   end
   else begin
     let i = !victim in
-    let evicted = (t.lines.(i), st_of_int t.sts.(i)) in
+    let evicted = t.lines.(i) in
+    t.victim_st <- t.sts.(i);
     t.lines.(i) <- line;
     t.sts.(i) <- int_of_st st;
     bump t i;
-    Some evicted
+    evicted
   end
+
+let victim_state t = st_of_int t.victim_st
 
 let iter t f =
   for i = 0 to Array.length t.lines - 1 do

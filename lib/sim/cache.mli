@@ -39,10 +39,15 @@ val touch : t -> int -> unit
 val set_state : t -> int -> state -> unit
 
 (** [insert t line st] makes the line resident in state [st], evicting the
-    set's LRU victim if the set is full. Returns the victim [(line, state)]
-    if one was evicted. The line must not already be resident (checked,
-    and raising, only when {!Debug.on}). *)
-val insert : t -> int -> state -> (int * state) option
+    set's LRU victim if the set is full. Returns the evicted victim's line,
+    or -1 if nothing was evicted; the victim's state is then
+    {!victim_state}. The line must not already be resident (checked, and
+    raising, only when {!Debug.on}). *)
+val insert : t -> int -> state -> int
+
+(** State of the victim the last evicting {!insert} returned; unspecified
+    if that [insert] evicted nothing. *)
+val victim_state : t -> state
 
 (** [remove t line] drops the line (external invalidation or inclusion
     victim). No-op if absent. *)

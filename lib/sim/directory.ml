@@ -60,16 +60,6 @@ let[@inline] popcount32 x =
      total. *)
   (x * 0x01010101) lsr 24 land 0xFF
 
-(* Ascending-core iteration over a plane, so [iter_others]/[others] visit
-   cores in the same sorted order the old list representation produced. *)
-let[@inline] iter_bits base m f =
-  let m = ref m in
-  while !m <> 0 do
-    let b = !m land (- !m) in
-    f (base + bit_index b);
-    m := !m lxor b
-  done
-
 (* Hot accessors -------------------------------------------------------- *)
 
 let[@inline] is_uncached t line =
@@ -132,24 +122,32 @@ let drop t line core =
     end
   end
 
-let[@inline] masks_without t line core =
-  let lo = t.lo.(line) and hi = t.hi.(line) in
-  if core < 32 then (lo land lnot (1 lsl core), hi)
-  else (lo, hi land lnot (1 lsl (core - 32)))
+let[@inline] holds t line core =
+  if core < 32 then t.lo.(line) land (1 lsl core) <> 0
+  else t.hi.(line) land (1 lsl (core - 32)) <> 0
 
 let others_count t line core =
   if line >= Array.length t.lo then 0
   else begin
-    let lo, hi = masks_without t line core in
-    popcount32 lo + popcount32 hi
+    let n = popcount32 t.lo.(line) + popcount32 t.hi.(line) in
+    if holds t line core then n - 1 else n
   end
 
-let iter_others t line core f =
-  if line < Array.length t.lo then begin
-    let lo, hi = masks_without t line core in
-    iter_bits 0 lo f;
-    iter_bits 32 hi f
+(* [base] + index of the lowest set bit of [m], or -1 if [m = 0]. *)
+let[@inline] lowest base m = if m = 0 then -1 else base + bit_index (m land -m)
+
+(* Lowest holder id [>= from] ([from <= 64]). *)
+let next_holder t line from =
+  if line >= Array.length t.lo then -1
+  else if from < 32 then begin
+    let o = lowest 0 (t.lo.(line) land (-1 lsl from)) in
+    if o >= 0 then o else lowest 32 t.hi.(line)
   end
+  else lowest 32 (t.hi.(line) land (-1 lsl (from - 32)))
+
+let next_other t line core from =
+  let o = next_holder t line from in
+  if o = core then next_holder t line (o + 1) else o
 
 (* Variant-based compatibility API (tests, diagnostics) ----------------- *)
 
@@ -160,10 +158,10 @@ let sharing t line =
     if e > 0 then Excl (e - 1)
     else if t.lo.(line) = 0 && t.hi.(line) = 0 then Uncached
     else begin
-      let acc = ref [] in
-      iter_bits 32 t.hi.(line) (fun c -> acc := c :: !acc);
-      iter_bits 0 t.lo.(line) (fun c -> acc := c :: !acc);
-      Shared !acc
+      let rec from o =
+        if o < 0 then [] else o :: from (next_holder t line (o + 1))
+      in
+      Shared (from (next_holder t line 0))
     end
   end
 
@@ -179,13 +177,10 @@ let set t line s =
   | Excl owner -> set_excl t line owner
 
 let others t line core =
-  let acc = ref [] in
-  if line < Array.length t.lo then begin
-    let lo, hi = masks_without t line core in
-    iter_bits 32 hi (fun c -> acc := c :: !acc);
-    iter_bits 0 lo (fun c -> acc := c :: !acc)
-  end;
-  !acc
+  let rec from o =
+    if o < 0 then [] else o :: from (next_other t line core (o + 1))
+  in
+  from (next_other t line core 0)
 
 let iter_lines t f =
   for line = 0 to Array.length t.lo - 1 do

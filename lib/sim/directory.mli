@@ -35,7 +35,7 @@ val drop : t -> int -> int -> unit
 
 (** [others t line core] lists every core other than [core] currently
     holding the line, in ascending id order. Allocates; tests only — the
-    hot path uses {!iter_others}/{!others_count}. *)
+    hot path uses {!next_other}/{!others_count}. *)
 val others : t -> int -> int -> int list
 
 (** {2 Allocation-free accessors (hot path)} *)
@@ -59,9 +59,12 @@ val set_shared_pair : t -> int -> int -> int -> unit
 (** Number of holders other than [core]. *)
 val others_count : t -> int -> int -> int
 
-(** [iter_others t line core f] calls [f] on every holder other than
-    [core], in ascending id order (the order [others] returns). *)
-val iter_others : t -> int -> int -> (int -> unit) -> unit
+(** [next_other t line core from] is the lowest-id holder of [line] that
+    is [>= from] and not [core], or -1 if there is none ([0 <= from <=
+    64]). Walking [from = 0], then one past each result, visits the other
+    holders in ascending id order (the order [others] returns) with no
+    callback; holders dropped behind the cursor do not disturb the walk. *)
+val next_other : t -> int -> int -> int -> int
 
 (** [iter_lines t f] calls [f line] for every line with at least one
     holder (coherence invariant checker; not on the hot path). *)

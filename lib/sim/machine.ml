@@ -111,30 +111,31 @@ let downgrade_remote t victim line =
 (* L1 victim stays in L2 (inclusive hierarchy), but its tag dies: MemTags
    live at the L1 level, so falling out of L1 is a (spurious) eviction. *)
 let l1_insert t c line st =
-  match Cache.insert c.l1 line st with
-  | None -> ()
-  | Some (vline, _vst) ->
-      if on t && Memtag_unit.live c.tags vline then
-        ev t c.id (Obs.Tag_evict { line = vline; conflict = false });
-      Memtag_unit.on_evict c.tags vline Memtag_unit.Capacity
+  let vline = Cache.insert c.l1 line st in
+  if vline >= 0 then begin
+    if on t && Memtag_unit.live c.tags vline then
+      ev t c.id (Obs.Tag_evict { line = vline; conflict = false });
+    Memtag_unit.on_evict c.tags vline Memtag_unit.Capacity
+  end
 
 (* An L2 victim leaves the whole hierarchy: back-invalidate the L1 copy
    (inclusion), write back if dirty, and tell the directory. *)
 let l2_insert t c line st =
-  match Cache.insert c.l2 line st with
-  | None -> ()
-  | Some (vline, vst) ->
-      if Cache.find c.l1 vline <> Cache.I then begin
-        Cache.remove c.l1 vline;
-        if on t && Memtag_unit.live c.tags vline then
-          ev t c.id (Obs.Tag_evict { line = vline; conflict = false });
-        Memtag_unit.on_evict c.tags vline Memtag_unit.Capacity
-      end;
-      if vst = Cache.M then begin
-        c.stats.writebacks <- c.stats.writebacks + 1;
-        if on t then ev t c.id (Obs.Writeback { line = vline })
-      end;
-      Directory.drop t.dir vline c.id
+  let vline = Cache.insert c.l2 line st in
+  if vline >= 0 then begin
+    let vst = Cache.victim_state c.l2 in
+    if Cache.find c.l1 vline <> Cache.I then begin
+      Cache.remove c.l1 vline;
+      if on t && Memtag_unit.live c.tags vline then
+        ev t c.id (Obs.Tag_evict { line = vline; conflict = false });
+      Memtag_unit.on_evict c.tags vline Memtag_unit.Capacity
+    end;
+    if vst = Cache.M then begin
+      c.stats.writebacks <- c.stats.writebacks + 1;
+      if on t then ev t c.id (Obs.Writeback { line = vline })
+    end;
+    Directory.drop t.dir vline c.id
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The central access routine: make [line] resident in [c]'s L1 with read
@@ -147,13 +148,19 @@ let inval_round_lat cfg n_sharers =
 
 (* Invalidate every other holder; visits cores in ascending id order. The
    count is taken before the sweep because [invalidate_remote] drops each
-   victim from the sharer mask as it goes. *)
+   victim from the sharer mask as it goes (only the victim's own bit, so
+   the cursor walk over the live mask is unaffected). *)
+let rec invalidate_from t c line o =
+  if o >= 0 then begin
+    if on t then ev t c.id (Obs.Inval_sent { line; victim = o });
+    invalidate_remote t o line;
+    c.stats.invalidations_sent <- c.stats.invalidations_sent + 1;
+    invalidate_from t c line (Directory.next_other t.dir line c.id (o + 1))
+  end
+
 let invalidate_others t c line =
   let n = Directory.others_count t.dir line c.id in
-  Directory.iter_others t.dir line c.id (fun o ->
-      if on t then ev t c.id (Obs.Inval_sent { line; victim = o });
-      invalidate_remote t o line;
-      c.stats.invalidations_sent <- c.stats.invalidations_sent + 1);
+  invalidate_from t c line (Directory.next_other t.dir line c.id 0);
   n
 
 let upgrade_from_shared t c line =
@@ -272,6 +279,30 @@ let acquire t c line ~excl =
           end
     end
 
+(* One remote tagger [v] of [line], probed by [c]: count the probe, kill
+   [v]'s cached copy if it still has one, and break its tag. *)
+let kill_tagged t c v line =
+  c.stats.tag_probes_sent <- c.stats.tag_probes_sent + 1;
+  v.stats.tag_probes_received <- v.stats.tag_probes_received + 1;
+  if Cache.find v.l2 line <> Cache.I || Cache.find v.l1 line <> Cache.I then begin
+    if Cache.find v.l2 line = Cache.M then begin
+      v.stats.writebacks <- v.stats.writebacks + 1;
+      if on t then ev t v.id (Obs.Writeback { line })
+    end;
+    Cache.remove v.l1 line;
+    Cache.remove v.l2 line;
+    Directory.drop t.dir line v.id;
+    v.stats.invalidations_received <- v.stats.invalidations_received + 1;
+    c.stats.invalidations_sent <- c.stats.invalidations_sent + 1;
+    if on t then begin
+      ev t c.id (Obs.Inval_sent { line; victim = v.id });
+      ev t v.id (Obs.Inval_received { line })
+    end
+  end;
+  if on t && Memtag_unit.live v.tags line then
+    ev t v.id (Obs.Tag_evict { line; conflict = true });
+  Memtag_unit.on_evict v.tags line Memtag_unit.Conflict
+
 (* Kill [line] at every other core that has it *tagged* (IAS invalidation
    step, tag-targeted variant). Returns the latency charged to the issuer:
    a directory interrogation plus one invalidation round if any remote
@@ -281,41 +312,16 @@ let acquire t c line ~excl =
    families separate "taggers interrogated" (what the latency formula
    charges per sharer) from "copies invalidated". *)
 let invalidate_taggers t c line =
-  let n_cores = Array.length t.cores in
-  let rec go i hit =
-    if i >= n_cores then hit
-    else begin
-      let v = t.cores.(i) in
-      if v.id <> c.id && Memtag_unit.is_tagged v.tags line then begin
-        c.stats.tag_probes_sent <- c.stats.tag_probes_sent + 1;
-        v.stats.tag_probes_received <- v.stats.tag_probes_received + 1;
-        if Cache.find v.l2 line <> Cache.I || Cache.find v.l1 line <> Cache.I
-        then begin
-          if Cache.find v.l2 line = Cache.M then begin
-            v.stats.writebacks <- v.stats.writebacks + 1;
-            if on t then ev t v.id (Obs.Writeback { line })
-          end;
-          Cache.remove v.l1 line;
-          Cache.remove v.l2 line;
-          Directory.drop t.dir line v.id;
-          v.stats.invalidations_received <- v.stats.invalidations_received + 1;
-          c.stats.invalidations_sent <- c.stats.invalidations_sent + 1;
-          if on t then begin
-            ev t c.id (Obs.Inval_sent { line; victim = v.id });
-            ev t v.id (Obs.Inval_received { line })
-          end
-        end;
-        if on t && Memtag_unit.live v.tags line then
-          ev t v.id (Obs.Tag_evict { line; conflict = true });
-        Memtag_unit.on_evict v.tags line Memtag_unit.Conflict;
-        go (i + 1) (hit + 1)
-      end
-      else go (i + 1) hit
+  let hit = ref 0 in
+  for i = 0 to Array.length t.cores - 1 do
+    let v = t.cores.(i) in
+    if v.id <> c.id && Memtag_unit.is_tagged v.tags line then begin
+      kill_tagged t c v line;
+      incr hit
     end
-  in
-  let hit = go 0 0 in
+  done;
   c.stats.coherence_msgs <- c.stats.coherence_msgs + 1;
-  t.cfg.lat_dir + inval_round_lat t.cfg hit
+  t.cfg.lat_dir + inval_round_lat t.cfg !hit
 
 (* ------------------------------------------------------------------ *)
 (* Word-level operations.                                              *)
@@ -518,16 +524,16 @@ let ias t ~core:cid addr v =
        have it tagged — untagged sharers keep their (byte-identical)
        copies; only the target line's write invalidates everyone. The
        conservative variant elevates every tagged line to M. *)
-    let rec kill i lat =
-      if i >= n then lat
-      else begin
-        let line = c.scratch.(i) in
-        if line = target then kill (i + 1) lat
-        else if tag_targeted then kill (i + 1) (lat + invalidate_taggers t c line)
-        else kill (i + 1) (lat + acquire t c line ~excl:true)
-      end
-    in
-    let lat = kill 0 0 + acquire t c target ~excl:true in
+    let lat = ref 0 in
+    for i = 0 to n - 1 do
+      let line = c.scratch.(i) in
+      if line <> target then
+        lat :=
+          !lat
+          + (if tag_targeted then invalidate_taggers t c line
+             else acquire t c line ~excl:true)
+    done;
+    let lat = !lat + acquire t c target ~excl:true in
     t.last_lat <- t.cfg.lat_validate + lat;
     if Memtag_unit.check c.tags <> Memtag_unit.Ok then begin
       c.stats.ias_failures <- c.stats.ias_failures + 1;

@@ -69,19 +69,21 @@ let decorate_policy base ~name ~extra_delay =
 
 let policy_name p = p.policy_name
 
-(* A ready-queue entry is either a fiber that has not started yet (a plain
-   thunk — there is no continuation to unwind) or one suspended mid-stall,
-   whose continuation must be [discontinue]d if the run is torn down. The
-   kind rides in the low bit of the queue's int side-channel ([aux =
-   (tid lsl 1) lor kind], kind 1 = suspended continuation, 0 = start
-   thunk) and the value plane holds the thunk or continuation untagged,
-   so enqueueing a suspension allocates nothing at all. *)
+(* A ready fiber is either one that has not started yet (a plain thunk —
+   there is no continuation to unwind) or one suspended mid-stall, whose
+   continuation must be [discontinue]d if the run is torn down. The ready
+   heap holds int keys only; the task itself sits untagged in the fiber's
+   slot of [tasks], written once per suspension, and its kind rides in the
+   low bit of the heap entry's int side-channel ([aux = (tid lsl 1) lor
+   kind], kind 1 = suspended continuation, 0 = start thunk). Enqueueing a
+   suspension therefore allocates nothing, and sifting the heap moves no
+   pointers (no write barrier per level). *)
 let null_tick ~now:_ = ()
 
 type t = {
   mutable bodies : (unit -> unit) list;  (* reversed spawn order *)
   mutable n_fibers : int;
-  ready : Obj.t Pqueue.t;  (* aux = (fiber id lsl 1) lor is_continuation *)
+  ready : Pqueue.t;  (* aux = (fiber id lsl 1) lor is_continuation *)
   (* Scheduler state, scoped to this runtime so independent machines can
      run concurrently on different domains. [current_fiber] is -1 outside
      any fiber; [active] guards against the same value being run twice
@@ -94,18 +96,18 @@ type t = {
   mutable active : bool;
   mutable draining : bool;  (* tear-down in progress: stalls must suspend *)
   mutable clocks : int array;  (* per-fiber local clocks, grown on demand *)
+  mutable tasks : Obj.t array;  (* per-fiber parked thunk or continuation *)
   mutable policy : policy;
   mutable obs : Mt_obs.Obs.t;
   mutable obs_on : bool;  (* Obs.enabled obs, cached off the stall path *)
   mutable pend_time : int;  (* Stall payload: stalling fiber's new clock *)
   mutable pend_tie : int;  (* … and its readiness tie *)
-  (* The suspension handler pops the next task while it inserts the
-     suspending one (a single fused heap sift) and parks it here; the
-     scheduler loop runs a parked task before consulting the heap.
+  (* The suspension handler pops the next entry while it inserts the
+     suspending one (a single fused heap sift) and parks its key here; the
+     scheduler loop runs a parked entry before consulting the heap.
      [handoff_aux < 0] = nothing parked. *)
   mutable handoff_time : int;
   mutable handoff_aux : int;
-  mutable handoff_task : Obj.t;
   (* Preallocated effect-handler branch: returning the same closure for
      every [Stall] keeps the suspension path allocation-free. Set once in
      [create] (it captures the runtime itself). *)
@@ -133,6 +135,7 @@ let create () =
       active = false;
       draining = false;
       clocks = [||];
+      tasks = [||];
       policy = default_policy;
       obs = Mt_obs.Obs.null;
       obs_on = false;
@@ -140,7 +143,6 @@ let create () =
       pend_tie = 0;
       handoff_time = 0;
       handoff_aux = -1;
-      handoff_task = Obj.repr 0;
       on_stall = None;
       tick_interval = 0;
       next_tick = max_int;
@@ -150,20 +152,17 @@ let create () =
   t.on_stall <-
     Some
       (fun k ->
-        let aux = (t.current_fiber lsl 1) lor 1 in
+        let tid = t.current_fiber in
+        Array.unsafe_set t.tasks tid (Obj.repr k);
+        let aux = (tid lsl 1) lor 1 in
         if t.draining then
           (* Tear-down: just park the re-suspended fiber in the queue for
              [drain_aborted]'s sweep — no task may bypass it. *)
-          Pqueue.add_aux t.ready ~time:t.pend_time ~tie:t.pend_tie ~aux
-            (Obj.repr k)
+          Pqueue.add t.ready ~time:t.pend_time ~tie:t.pend_tie ~aux
         else begin
-          let v =
-            Pqueue.exchange t.ready ~time:t.pend_time ~tie:t.pend_tie ~aux
-              (Obj.repr k)
-          in
+          Pqueue.exchange t.ready ~time:t.pend_time ~tie:t.pend_tie ~aux;
           t.handoff_time <- Pqueue.xchg_time t.ready;
-          t.handoff_aux <- Pqueue.xchg_aux t.ready;
-          t.handoff_task <- v
+          t.handoff_aux <- Pqueue.xchg_aux t.ready
         end);
   t
 
@@ -181,12 +180,17 @@ let fiber_id () =
   | Some t when t.current_fiber >= 0 -> t.current_fiber
   | _ -> invalid_arg "Runtime.fiber_id: not inside a fiber"
 
-let ensure_clocks t tid =
-  if tid >= Array.length t.clocks then begin
-    let n = max (tid + 1) (max 1 (2 * Array.length t.clocks)) in
+(* [clocks] and [tasks] always have the same length. *)
+let ensure_fiber t tid =
+  let len = Array.length t.clocks in
+  if tid >= len then begin
+    let n = max (tid + 1) (max 1 (2 * len)) in
     let clocks = Array.make n 0 in
-    Array.blit t.clocks 0 clocks 0 (Array.length t.clocks);
-    t.clocks <- clocks
+    Array.blit t.clocks 0 clocks 0 len;
+    t.clocks <- clocks;
+    let tasks = Array.make n (Obj.repr 0) in
+    Array.blit t.tasks 0 tasks 0 len;
+    t.tasks <- tasks
   end
 
 let start t body () =
@@ -214,10 +218,10 @@ let spawn t body =
     let tid = t.n_fibers in
     t.bodies <- body :: t.bodies;
     t.n_fibers <- tid + 1;
-    ensure_clocks t tid;
+    ensure_fiber t tid;
     t.clocks.(tid) <- t.clock;
-    Pqueue.add_aux t.ready ~time:t.clock ~tie:(tie_for t tid) ~aux:(tid lsl 1)
-      (Obj.repr (start t body))
+    t.tasks.(tid) <- Obj.repr (start t body);
+    Pqueue.add t.ready ~time:t.clock ~tie:(tie_for t tid) ~aux:(tid lsl 1)
   end
   else begin
     t.bodies <- body :: t.bodies;
@@ -300,27 +304,25 @@ let drain_aborted t =
   (* A task parked in the handoff slot is as live as a queued one; sweep
      it first (a trapped-and-restalled fiber re-enters the queue via the
      draining branch of [on_stall] and is caught by the loop below). *)
-  if t.handoff_aux >= 0 then begin
-    let aux = t.handoff_aux in
-    let task = t.handoff_task in
-    t.handoff_aux <- -1;
-    t.handoff_task <- Obj.repr 0;
-    if aux land 1 = 1 then begin
-      t.current_fiber <- aux lsr 1;
-      try discontinue (Obj.obj task : (unit, unit) continuation) Aborted
-      with _ -> ()
-    end
-  end;
-  while not (Pqueue.is_empty t.ready) do
-    let aux = Pqueue.top_aux t.ready in
-    let task = Pqueue.pop t.ready in
+  let abort aux =
     if aux land 1 = 1 then begin
       (* suspended mid-stall: unwind it *)
-      t.current_fiber <- aux lsr 1;
-      try discontinue (Obj.obj task : (unit, unit) continuation) Aborted
+      let tid = aux lsr 1 in
+      t.current_fiber <- tid;
+      try discontinue (Obj.obj t.tasks.(tid) : (unit, unit) continuation) Aborted
       with _ -> ()
     end
     (* else: never ran, nothing to unwind *)
+  in
+  if t.handoff_aux >= 0 then begin
+    let aux = t.handoff_aux in
+    t.handoff_aux <- -1;
+    abort aux
+  end;
+  while not (Pqueue.is_empty t.ready) do
+    let aux = Pqueue.top_aux t.ready in
+    Pqueue.pop t.ready;
+    abort aux
   done;
   t.draining <- false
 
@@ -350,17 +352,18 @@ let run ?(policy = default_policy) ?(obs = Mt_obs.Obs.null) ?tick t =
       t.tick_interval <- interval;
       t.next_tick <- interval;
       t.tick_fn <- f);
-  if Array.length t.clocks < max 1 t.n_fibers then
-    t.clocks <- Array.make (max 1 t.n_fibers) 0
-  else Array.fill t.clocks 0 (Array.length t.clocks) 0;
+  ensure_fiber t (max 0 (t.n_fibers - 1));
+  Array.fill t.clocks 0 (Array.length t.clocks) 0;
   Domain.DLS.set current_key (Some t);
   List.iteri
     (fun i body ->
       let tid = t.n_fibers - 1 - i in
-      Pqueue.add_aux t.ready ~time:0 ~tie:(tie_for t tid) ~aux:(tid lsl 1)
-        (Obj.repr (start t body)))
+      t.tasks.(tid) <- Obj.repr (start t body);
+      Pqueue.add t.ready ~time:0 ~tie:(tie_for t tid) ~aux:(tid lsl 1))
     t.bodies;
   let finish () =
+    (* Release every parked thunk and spent continuation. *)
+    Array.fill t.tasks 0 (Array.length t.tasks) (Obj.repr 0);
     t.active <- false;
     t.current_fiber <- -1;
     t.policy <- default_policy;
@@ -379,22 +382,22 @@ let run ?(policy = default_policy) ?(obs = Mt_obs.Obs.null) ?tick t =
   let rec drive () =
     if t.handoff_aux >= 0 then begin
       let time = t.handoff_time and aux = t.handoff_aux in
-      let task = t.handoff_task in
       t.handoff_aux <- -1;
-      t.handoff_task <- Obj.repr 0;
-      dispatch time aux task
+      dispatch time aux
     end
     else if not (Pqueue.is_empty t.ready) then begin
       let time = Pqueue.top_time t.ready in
       let aux = Pqueue.top_aux t.ready in
-      let task = Pqueue.pop t.ready in
-      dispatch time aux task
+      Pqueue.pop t.ready;
+      dispatch time aux
     end
-  and dispatch time aux task =
+  and dispatch time aux =
     t.clock <- time;
     if time >= t.next_tick then run_ticks t time;
     let tid = aux lsr 1 in
     t.current_fiber <- tid;
+    (* [tid] is a fiber of this run, so it indexes [tasks]. *)
+    let task = Array.unsafe_get t.tasks tid in
     if t.obs_on then
       Mt_obs.Obs.emit t.obs ~core:tid ~time Mt_obs.Obs.Fiber_resume;
     if aux land 1 = 1 then

@@ -6,6 +6,7 @@ exception Abort = Stm_intf.Abort
 
 type t = {
   seqlock : addr;
+  logs : Stm_log.pool;  (* one reusable read set + write buffer per core *)
   mutable commits : int;
   mutable aborts : int;
   mutable vbv_passes : int;
@@ -14,10 +15,8 @@ type t = {
 type tx = {
   ctx : Ctx.t;
   stm : t;
-  mutable snapshot : int;             (* V: last known-consistent even time *)
-  mutable reads : (addr * int) list;  (* read set, newest first *)
-  writes : (addr, int) Hashtbl.t;     (* write buffer *)
-  mutable write_log : addr list;      (* write-back order (reversed) *)
+  mutable snapshot : int;  (* V: last known-consistent even time *)
+  log : Stm_log.t;
 }
 
 let name = "norec"
@@ -32,7 +31,13 @@ let abort_event ctx reason =
 
 let create ctx =
   let seqlock = Ctx.alloc ~label:"norec-seqlock" ctx ~words:1 in
-  { seqlock; commits = 0; aborts = 0; vbv_passes = 0 }
+  {
+    seqlock;
+    logs = Stm_log.pool ~cores:(Mt_sim.Machine.num_cores (Ctx.machine ctx));
+    commits = 0;
+    aborts = 0;
+    vbv_passes = 0;
+  }
 
 let commits t = t.commits
 let aborts t = t.aborts
@@ -57,10 +62,7 @@ let rec read_sequence tx =
 let rec validate tx =
   let time = read_sequence tx in
   tx.stm.vbv_passes <- tx.stm.vbv_passes + 1;
-  let consistent =
-    List.for_all (fun (a, v) -> Ctx.read tx.ctx a = v) tx.reads
-  in
-  if not consistent then begin
+  if not (Stm_log.consistent tx.log tx.ctx) then begin
     abort_event tx.ctx "vbv-inconsistent";
     raise Abort
   end
@@ -71,25 +73,24 @@ let rec validate tx =
   else validate tx
 
 let read tx a =
-  match Hashtbl.find_opt tx.writes a with
-  | Some v -> v
-  | None ->
-      let v = ref (Ctx.read tx.ctx a) in
-      while Ctx.read tx.ctx tx.stm.seqlock <> tx.snapshot do
-        let (_ : int) = validate tx in
-        v := Ctx.read tx.ctx a
-      done;
-      tx.reads <- (a, !v) :: tx.reads;
-      !v
+  let w = Stm_log.find tx.log a in
+  if w >= 0 then Stm_log.value tx.log w
+  else begin
+    let v = ref (Ctx.read tx.ctx a) in
+    while Ctx.read tx.ctx tx.stm.seqlock <> tx.snapshot do
+      let (_ : int) = validate tx in
+      v := Ctx.read tx.ctx a
+    done;
+    Stm_log.record_read tx.log a !v;
+    !v
+  end
 
 let ctx tx = tx.ctx
 
-let write tx a v =
-  if not (Hashtbl.mem tx.writes a) then tx.write_log <- a :: tx.write_log;
-  Hashtbl.replace tx.writes a v
+let write tx a v = Stm_log.write tx.log a v
 
 let commit tx =
-  if Hashtbl.length tx.writes = 0 then ()  (* read-only: nothing to do *)
+  if Stm_log.writes tx.log = 0 then ()  (* read-only: nothing to do *)
   else begin
     (* Acquire the sequence lock at our snapshot, validating on conflict. *)
     let rec acquire () =
@@ -103,24 +104,14 @@ let commit tx =
       end
     in
     acquire ();
-    List.iter
-      (fun a -> Ctx.write tx.ctx a (Hashtbl.find tx.writes a))
-      (List.rev tx.write_log);
+    Stm_log.write_back tx.log tx.ctx;
     Ctx.write tx.ctx tx.stm.seqlock (tx.snapshot + 2)
   end
 
 let atomically ctx stm body =
+  let log = Stm_log.acquire stm.logs (Ctx.core ctx) in
   let rec attempt n =
-    let tx =
-      {
-        ctx;
-        stm;
-        snapshot = 0;
-        reads = [];
-        writes = Hashtbl.create 16;
-        write_log = [];
-      }
-    in
+    let tx = { ctx; stm; snapshot = 0; log } in
     tx.snapshot <- read_sequence tx;
     match
       let result = body tx in
@@ -128,6 +119,7 @@ let atomically ctx stm body =
       result
     with
     | result ->
+        Stm_log.release log;
         stm.commits <- stm.commits + 1;
         result
     | exception Abort ->
@@ -139,6 +131,11 @@ let atomically ctx stm body =
         Ctx.cm_wait_default ~site:stm.seqlock ctx ~attempt:n
           ~default:(fun () ->
             Mt_sim.Prng.int (Ctx.prng ctx) (min 2048 (16 lsl min n 7)));
+        Stm_log.reset log;
         attempt (n + 1)
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Stm_log.release log;
+        Printexc.raise_with_backtrace e bt
   in
   attempt 0

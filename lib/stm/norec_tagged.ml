@@ -6,6 +6,7 @@ exception Abort = Stm_intf.Abort
 
 type t = {
   seqlock : addr;
+  logs : Stm_log.pool;  (* one reusable read set + write buffer per core *)
   mutable commits : int;
   mutable aborts : int;
   mutable vbv_passes : int;
@@ -17,10 +18,8 @@ type tx = {
   ctx : Ctx.t;
   stm : t;
   mutable snapshot : int;
-  mutable tagged : bool;              (* fast path: read set tracked by tags *)
-  mutable reads : (addr * int) list;  (* kept for the VBV fallback *)
-  writes : (addr, int) Hashtbl.t;
-  mutable write_log : addr list;
+  mutable tagged : bool;  (* fast path: read set tracked by tags *)
+  log : Stm_log.t;  (* the value read set is kept for the VBV fallback *)
 }
 
 let name = "norec-tagged"
@@ -34,6 +33,7 @@ let create ctx =
   let seqlock = Ctx.alloc ~label:"norec-tagged-seqlock" ctx ~words:1 in
   {
     seqlock;
+    logs = Stm_log.pool ~cores:(Mt_sim.Machine.num_cores (Ctx.machine ctx));
     commits = 0;
     aborts = 0;
     vbv_passes = 0;
@@ -65,8 +65,7 @@ let rec read_sequence tx =
 let rec validate_vbv tx =
   let time = read_sequence tx in
   tx.stm.vbv_passes <- tx.stm.vbv_passes + 1;
-  let consistent = List.for_all (fun (a, v) -> Ctx.read tx.ctx a = v) tx.reads in
-  if not consistent then begin
+  if not (Stm_log.consistent tx.log tx.ctx) then begin
     obs_event tx.ctx (Mt_obs.Obs.Stm_abort { impl = name; reason = "vbv-inconsistent" });
     raise Abort
   end
@@ -111,37 +110,30 @@ let slow_read tx a =
     let (_ : int) = validate_vbv tx in
     v := Ctx.read tx.ctx a
   done;
-  tx.reads <- (a, !v) :: tx.reads;
+  Stm_log.record_read tx.log a !v;
   !v
 
 let read tx a =
-  match Hashtbl.find_opt tx.writes a with
-  | Some v -> v
-  | None ->
-      if tx.tagged then begin
-        (* Tagged load; post-read validation is a free local check. *)
-        let v = Ctx.add_tag_read tx.ctx a ~words:1 in
-        if Ctx.validate tx.ctx then begin
-          tx.reads <- (a, v) :: tx.reads;
-          v
-        end
-        else if fast_revalidate tx then begin
-          tx.reads <- (a, v) :: tx.reads;
-          v
-        end
-        else begin
-          (* Demoted: establish consistency by value, then re-read. *)
-          let (_ : int) = validate_vbv tx in
-          slow_read tx a
-        end
-      end
-      else slow_read tx a
+  let w = Stm_log.find tx.log a in
+  if w >= 0 then Stm_log.value tx.log w
+  else if tx.tagged then begin
+    (* Tagged load; post-read validation is a free local check. *)
+    let v = Ctx.add_tag_read tx.ctx a ~words:1 in
+    if Ctx.validate tx.ctx || fast_revalidate tx then begin
+      Stm_log.record_read tx.log a v;
+      v
+    end
+    else begin
+      (* Demoted: establish consistency by value, then re-read. *)
+      let (_ : int) = validate_vbv tx in
+      slow_read tx a
+    end
+  end
+  else slow_read tx a
 
 let ctx tx = tx.ctx
 
-let write tx a v =
-  if not (Hashtbl.mem tx.writes a) then tx.write_log <- a :: tx.write_log;
-  Hashtbl.replace tx.writes a v
+let write tx a v = Stm_log.write tx.log a v
 
 let rec acquire_slow tx =
   if
@@ -164,32 +156,21 @@ let rec acquire_fast tx =
   end
 
 let commit tx =
-  if Hashtbl.length tx.writes = 0 then
+  if Stm_log.writes tx.log = 0 then
     (* Read-only: the last successful validation (tag-based or VBV)
        already witnessed a consistent snapshot. *)
     ()
   else begin
     if tx.tagged then acquire_fast tx else acquire_slow tx;
-    List.iter
-      (fun a -> Ctx.write tx.ctx a (Hashtbl.find tx.writes a))
-      (List.rev tx.write_log);
+    Stm_log.write_back tx.log tx.ctx;
     Ctx.write tx.ctx tx.stm.seqlock (tx.snapshot + 2)
   end
 
 let atomically ctx stm body =
+  let log = Stm_log.acquire stm.logs (Ctx.core ctx) in
   let rec attempt n =
     Ctx.clear_tag_set ctx;
-    let tx =
-      {
-        ctx;
-        stm;
-        snapshot = 0;
-        tagged = true;
-        reads = [];
-        writes = Hashtbl.create 16;
-        write_log = [];
-      }
-    in
+    let tx = { ctx; stm; snapshot = 0; tagged = true; log } in
     (* TXBegin: tag the sequence lock; a writer commit anywhere makes the
        next Validate fail locally, with no lock re-read in the meantime. *)
     let rec tagged_begin () =
@@ -209,6 +190,7 @@ let atomically ctx stm body =
     with
     | result ->
         Ctx.clear_tag_set ctx;
+        Stm_log.release log;
         stm.commits <- stm.commits + 1;
         result
     | exception Abort ->
@@ -219,6 +201,11 @@ let atomically ctx stm body =
         Ctx.cm_wait_default ~site:stm.seqlock ctx ~attempt:n
           ~default:(fun () ->
             Mt_sim.Prng.int (Ctx.prng ctx) (min 2048 (16 lsl min n 7)));
+        Stm_log.reset log;
         attempt (n + 1)
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Stm_log.release log;
+        Printexc.raise_with_backtrace e bt
   in
   attempt 0

@@ -40,22 +40,20 @@ let prop_prng_float_range =
 (* ------------------------------------------------------------------ *)
 (* Pqueue *)
 
+(* Each entry's aux carries its insertion id, standing in for the task
+   the scheduler parks per fiber. *)
+let pop_entry q =
+  let e = (Pqueue.top_time q, Pqueue.top_tie q, Pqueue.top_aux q) in
+  Pqueue.pop q;
+  e
+
 let test_pqueue_order () =
   let q = Pqueue.create () in
-  Pqueue.add q ~time:5 ~tie:0 "e";
-  Pqueue.add q ~time:1 ~tie:1 "a";
-  Pqueue.add q ~time:3 ~tie:0 "c";
-  Pqueue.add q ~time:1 ~tie:0 "b";
-  let pop () =
-    let _, _, v = Pqueue.pop_min q in
-    v
-  in
-  let p1 = pop () in
-  let p2 = pop () in
-  let p3 = pop () in
-  let p4 = pop () in
-  Alcotest.(check (list string))
-    "sorted by (time,tie)" [ "b"; "a"; "c"; "e" ] [ p1; p2; p3; p4 ];
+  List.iteri
+    (fun aux (time, tie) -> Pqueue.add q ~time ~tie ~aux)
+    [ (5, 0); (1, 1); (3, 0); (1, 0) ];
+  let ids = List.init 4 (fun _ -> let _, _, aux = pop_entry q in aux) in
+  Alcotest.(check (list int)) "sorted by (time,tie)" [ 3; 1; 2; 0 ] ids;
   check_bool "empty" true (Pqueue.is_empty q)
 
 let prop_pqueue_sorted =
@@ -63,11 +61,11 @@ let prop_pqueue_sorted =
     QCheck.(list (pair small_nat small_nat))
     (fun entries ->
       let q = Pqueue.create () in
-      List.iter (fun (t, tie) -> Pqueue.add q ~time:t ~tie ()) entries;
+      List.iter (fun (t, tie) -> Pqueue.add q ~time:t ~tie ~aux:0) entries;
       let rec drain prev =
         if Pqueue.is_empty q then true
         else
-          let t, tie, () = Pqueue.pop_min q in
+          let t, tie, _ = pop_entry q in
           match prev with
           | Some (pt, ptie) when (t, tie) < (pt, ptie) -> false
           | _ -> drain (Some (t, tie))
@@ -76,7 +74,9 @@ let prop_pqueue_sorted =
 
 (* Interleaved adds and pops against a sorted reference model: every pop
    must return the key-minimum of what is currently enqueued (the heap
-   property must survive arbitrary interleaving, not just bulk-load). *)
+   property must survive arbitrary interleaving, not just bulk-load), and
+   its aux must travel with its key. Keys are made unique by embedding
+   the insertion id in the tie, as the scheduler embeds the fiber id. *)
 let prop_pqueue_model =
   QCheck.Test.make ~name:"pqueue matches model under add/pop interleaving"
     ~count:300
@@ -88,32 +88,59 @@ let prop_pqueue_model =
       List.for_all
         (function
           | Some (t, tie) ->
-              Pqueue.add q ~time:t ~tie !id;
+              let tie = (tie lsl 16) lor !id in
+              Pqueue.add q ~time:t ~tie ~aux:!id;
+              model := List.merge compare !model [ (t, tie, !id) ];
               incr id;
-              model := List.merge compare !model [ (t, tie) ];
               true
           | None -> (
               match !model with
               | [] -> Pqueue.is_empty q
-              | (t, tie) :: rest ->
-                  let t', tie', _ = Pqueue.pop_min q in
+              | e :: rest ->
                   model := rest;
-                  (t', tie') = (t, tie)))
+                  pop_entry q = e))
         ops)
 
-(* The regression the option-array representation fixes: a popped value
-   must not stay reachable from the queue's backing store (fiber
-   continuations would otherwise be pinned until the queue is dropped). *)
-let test_pqueue_pop_releases_value () =
-  let q = Pqueue.create () in
-  let w = Weak.create 1 in
-  (let v = ref 12345 in
-   Weak.set w 0 (Some v);
-   Pqueue.add q ~time:1 ~tie:0 v);
-  ignore (Sys.opaque_identity (Pqueue.pop_min q));
-  Gc.full_major ();
-  check_bool "queue still live" true (Pqueue.is_empty q);
-  check_bool "popped value collected" true (Weak.get w 0 = None)
+(* The scheduler's fused suspension step: [exchange] pops the minimum and
+   inserts a key no smaller than it. Any interleaving of add, exchange and
+   pop must pop in (time, tie) order, matching a sorted-list reference,
+   with each entry's aux intact. *)
+let prop_pqueue_exchange_model =
+  QCheck.Test.make ~name:"pqueue add/exchange/pop match sorted model"
+    ~count:500
+    QCheck.(list (pair (int_bound 2) (pair small_nat small_nat)))
+    (fun ops ->
+      let q = Pqueue.create () in
+      let model = ref [] in
+      let id = ref 0 in
+      let fresh t tie =
+        let e = (t, (tie lsl 16) lor !id, !id) in
+        incr id;
+        e
+      in
+      List.for_all
+        (fun (op, (t, tie)) ->
+          match (op, !model) with
+          | 0, _ | _, [] ->
+              let ((t, tie, aux) as e) = fresh t tie in
+              Pqueue.add q ~time:t ~tie ~aux;
+              model := List.merge compare !model [ e ];
+              true
+          | 1, (mt, mtie, maux) :: rest ->
+              let t', tie', aux' = fresh (mt + t) tie in
+              (* The precondition: the incoming key is ≥ the minimum's. *)
+              let t' = if (t', tie') < (mt, mtie) then mt + 1 else t' in
+              let e = (t', tie', aux') in
+              Pqueue.exchange q ~time:t' ~tie:tie' ~aux:aux';
+              let ok = Pqueue.xchg_time q = mt && Pqueue.xchg_aux q = maux in
+              model := List.merge compare rest [ e ];
+              ok
+          | _, e :: rest ->
+              model := rest;
+              pop_entry q = e)
+        ops
+      && List.for_all (fun e -> pop_entry q = e) !model
+      && Pqueue.is_empty q)
 
 (* ------------------------------------------------------------------ *)
 (* Memory *)
@@ -170,12 +197,11 @@ let test_cache_lru_eviction () =
   (* 1 set (sets_log2 0... use 0), 2 ways: third insert evicts LRU. *)
   let c = Cache.create ~sets_log2:0 ~ways:2 in
   ignore (Cache.insert c 1 Cache.S);
-  ignore (Cache.insert c 2 Cache.S);
+  check_int "free way: no victim" (-1) (Cache.insert c 2 Cache.S);
   Cache.touch c 1;
   (* 2 is now LRU *)
-  match Cache.insert c 3 Cache.S with
-  | Some (victim, Cache.S) -> check_int "evicts LRU" 2 victim
-  | _ -> Alcotest.fail "expected eviction of line 2"
+  check_int "evicts LRU" 2 (Cache.insert c 3 Cache.S);
+  check_bool "victim state" true (Cache.victim_state c = Cache.S)
 
 let test_cache_set_isolation () =
   (* Lines mapping to different sets never evict each other. *)
@@ -396,6 +422,29 @@ let test_runtime_abort_trapped_fiber_drains () =
       failwith "boom");
   Alcotest.check_raises "propagates" (Failure "boom") (fun () -> Runtime.run rt);
   check_int "aborted once per suspension" 2 !aborts
+
+(* A finished run — normal or torn down — must not keep any fiber's
+   stack reachable through the runtime's per-fiber task slots: a value
+   live only across a suspension is collectable once [run] returns. *)
+let test_runtime_releases_tasks () =
+  let released ~fail =
+    let w = Weak.create 1 in
+    let rt = Runtime.create () in
+    Runtime.spawn rt (fun () ->
+        let v = ref 12345 in
+        Weak.set w 0 (Some v);
+        Runtime.stall 10;
+        ignore (Sys.opaque_identity v));
+    Runtime.spawn rt (fun () ->
+        Runtime.stall 5;
+        if fail then failwith "boom");
+    (try Runtime.run rt with Failure _ -> ());
+    Gc.full_major ();
+    ignore (Sys.opaque_identity rt);
+    Weak.get w 0 = None
+  in
+  check_bool "completed run" true (released ~fail:false);
+  check_bool "aborted run" true (released ~fail:true)
 
 let test_runtime_stall_outside_fiber () =
   Alcotest.check_raises "stall outside any run"
@@ -958,12 +1007,10 @@ let () =
         ]
         @ qsuite [ prop_prng_float_range ] );
       ( "pqueue",
-        [
-          Alcotest.test_case "order" `Quick test_pqueue_order;
-          Alcotest.test_case "pop releases value" `Quick
-            test_pqueue_pop_releases_value;
-        ]
-        @ qsuite [ prop_pqueue_sorted; prop_pqueue_model ] );
+        [ Alcotest.test_case "order" `Quick test_pqueue_order ]
+        @ qsuite
+            [ prop_pqueue_sorted; prop_pqueue_model; prop_pqueue_exchange_model ]
+      );
       ( "memory",
         [
           Alcotest.test_case "alloc aligned" `Quick test_memory_alloc_aligned;
@@ -1003,6 +1050,8 @@ let () =
           Alcotest.test_case "final now" `Quick test_runtime_now_final;
           Alcotest.test_case "spawn mid-run" `Quick test_runtime_spawn_mid_run;
           Alcotest.test_case "exceptions" `Quick test_runtime_exception_propagates;
+          Alcotest.test_case "run releases fiber tasks" `Quick
+            test_runtime_releases_tasks;
           Alcotest.test_case "abort runs finalizers" `Quick
             test_runtime_abort_runs_finalizers;
           Alcotest.test_case "abort drains trapped fibers" `Quick

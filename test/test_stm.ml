@@ -147,9 +147,65 @@ struct
         check_int "retried" 3 !tries;
         check_int "only final attempt committed" 3 (Machine.peek m cell))
 
+  (* More distinct writes than the log's initial index holds (it must
+     grow mid-transaction), with rewrites of the same addresses and
+     read-your-own-write checks after the growth. *)
+  let test_large_write_set () =
+    let n = 150 in
+    let m = machine () in
+    Harness.exec1 m (fun ctx ->
+        let stm = S.create ctx in
+        let base = Ctx.alloc ctx ~words:(8 * n) in
+        S.atomically ctx stm (fun tx ->
+            for i = 0 to n - 1 do
+              S.write tx (base + (8 * i)) i
+            done;
+            for i = 0 to n - 1 do
+              if i mod 3 = 0 then S.write tx (base + (8 * i)) (1000 + i)
+            done;
+            for i = 0 to n - 1 do
+              let expect = if i mod 3 = 0 then 1000 + i else i in
+              check_int "own write after growth" expect (S.read tx (base + (8 * i)))
+            done);
+        for i = 0 to n - 1 do
+          let expect = if i mod 3 = 0 then 1000 + i else i in
+          check_int "committed" expect (Machine.peek m (base + (8 * i)))
+        done)
+
+  (* An aborted attempt's reads and buffered writes must not leak into
+     the retry: the retry reads memory, not the dead attempt's buffer, and
+     commits only its own writes. *)
+  let test_abort_resets_logs () =
+    let n = 120 in
+    let m = machine () in
+    Harness.exec1 m (fun ctx ->
+        let stm = S.create ctx in
+        let base = Ctx.alloc ctx ~words:n in
+        let tries = ref 0 in
+        S.atomically ctx stm (fun tx ->
+            incr tries;
+            if !tries = 1 then begin
+              for i = 0 to n - 1 do
+                ignore (S.read tx (base + i));
+                S.write tx (base + i) (i + 1)
+              done;
+              raise Mt_stm.Stm_intf.Abort
+            end;
+            for i = 0 to n - 1 do
+              check_int "retry reads memory" 0 (S.read tx (base + i))
+            done;
+            S.write tx base 7);
+        check_int "two attempts" 2 !tries;
+        check_int "retry's write committed" 7 (Machine.peek m base);
+        for i = 1 to n - 1 do
+          check_int "dead attempt's write dropped" 0 (Machine.peek m (base + i))
+        done)
+
   let cases =
     [
       Alcotest.test_case "roundtrip" `Quick test_read_write_roundtrip;
+      Alcotest.test_case "large write set" `Quick test_large_write_set;
+      Alcotest.test_case "abort resets logs" `Quick test_abort_resets_logs;
       Alcotest.test_case "read own writes" `Quick test_read_own_writes;
       Alcotest.test_case "bank transfers" `Quick test_bank_transfers;
       Alcotest.test_case "consistent snapshots" `Quick test_consistent_snapshots;
@@ -169,6 +225,105 @@ module Tagged_battery = Battery (struct
 
   let expect_aborts = false
 end)
+
+(* ------------------------------------------------------------------ *)
+(* The shared transaction log, directly. *)
+
+module Log = Mt_stm.Stm_log
+
+(* Write-buffer positions are first-write positions — the commit's
+   write-back order — whatever the rewrites, across index growth; [reset]
+   empties the buffer. Addresses are strided like line-aligned nodes. *)
+let test_log_first_write_order () =
+  let l = Log.create () in
+  let n = 200 in
+  for i = 0 to n - 1 do
+    Log.write l (8 * i) i
+  done;
+  for i = n - 1 downto 0 do
+    if i mod 2 = 0 then Log.write l (8 * i) (-i)
+  done;
+  check_int "distinct writes" n (Log.writes l);
+  for i = 0 to n - 1 do
+    let p = Log.find l (8 * i) in
+    check_int "first-write position" i p;
+    check_int "latest value" (if i mod 2 = 0 then -i else i) (Log.value l p)
+  done;
+  check_int "absent" (-1) (Log.find l 4);
+  Log.reset l;
+  check_int "reset writes" 0 (Log.writes l);
+  for i = 0 to n - 1 do
+    check_int "reset index" (-1) (Log.find l (8 * i))
+  done;
+  Log.write l 16 5;
+  check_int "reused" 0 (Log.find l 16)
+
+(* Random write sequences against an association-list model kept in
+   first-write order. *)
+let prop_log_model =
+  QCheck.Test.make ~name:"stm log matches first-write model" ~count:300
+    QCheck.(list (pair (int_bound 300) small_int))
+    (fun ops ->
+      let l = Log.create () in
+      let model =
+        List.fold_left
+          (fun model (a, v) ->
+            Log.write l a v;
+            if List.mem_assoc a model then
+              List.map (fun (a', v') -> (a', if a' = a then v else v')) model
+            else model @ [ (a, v) ])
+          [] ops
+      in
+      Log.writes l = List.length model
+      && List.for_all2
+           (fun i (a, v) -> Log.find l a = i && Log.value l i = v)
+           (List.init (List.length model) Fun.id)
+           model)
+
+(* Write-back lands the latest values; value validation walks the read
+   set newest first and stops at the first changed value; [reset]
+   empties the read set. *)
+let test_log_write_back_and_validation () =
+  let m = machine () in
+  Harness.exec1 m (fun ctx ->
+      let a = Ctx.alloc ctx ~words:8 in
+      let l = Log.create () in
+      Log.write l a 1;
+      Log.write l (a + 1) 2;
+      Log.write l a 3;
+      Log.write_back l ctx;
+      check_int "a" 3 (Machine.peek m a);
+      check_int "a+1" 2 (Machine.peek m (a + 1));
+      for i = 0 to 4 do
+        Log.record_read l (a + 2 + i) 0
+      done;
+      check_bool "unchanged" true (Log.consistent l ctx);
+      Machine.poke m (a + 3) 9;
+      let loads () = (Machine.stats m ~core:0).Stats.loads in
+      let before = loads () in
+      check_bool "changed" false (Log.consistent l ctx);
+      (* newest first: a+6, a+5, a+4, then a+3 fails *)
+      check_int "stops at first change" 4 (loads () - before);
+      Log.reset l;
+      let before = loads () in
+      check_bool "empty read set" true (Log.consistent l ctx);
+      check_int "nothing re-read" 0 (loads () - before))
+
+(* One log per core, reused; a second taker on a busy core (or a core
+   outside the pool) gets a fresh one. *)
+let test_log_pool () =
+  let pool = Log.pool ~cores:2 in
+  let l0 = Log.acquire pool 0 in
+  Log.write l0 8 1;
+  let l0' = Log.acquire pool 0 in
+  check_bool "busy core: fresh log" true (l0 != l0');
+  check_int "fresh log empty" 0 (Log.writes l0');
+  Log.release l0';
+  Log.release l0;
+  let again = Log.acquire pool 0 in
+  check_bool "released log reused" true (again == l0);
+  check_int "reused log emptied" 0 (Log.writes again);
+  check_bool "outside the pool" true (Log.acquire pool 5 != again)
 
 (* Tag-set overflow: with a tiny Max_Tags, big-read-set transactions must
    fall back to value validation and still commit correctly. *)
@@ -313,6 +468,14 @@ let () =
         [
           Alcotest.test_case "overflow fallback" `Quick test_tagged_overflow_fallback;
           Alcotest.test_case "parked reader aborts" `Quick test_tagged_reader_sees_writer;
+        ] );
+      ( "stm-log",
+        [
+          Alcotest.test_case "first-write order" `Quick test_log_first_write_order;
+          Alcotest.test_case "write back and validation" `Quick
+            test_log_write_back_and_validation;
+          Alcotest.test_case "per-core pool" `Quick test_log_pool;
+          QCheck_alcotest.to_alcotest prop_log_model;
         ] );
       ( "explorer",
         [
