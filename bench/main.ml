@@ -1,49 +1,55 @@
 (* Regenerates every measured figure of the paper (Figures 2, 4, 5, 6, 7
    and 8), the spurious-invalidation observation of Section 6, and the
-   design-choice ablations called out in DESIGN.md, plus bechamel
-   micro-benchmarks of the primitive operations.
+   design-choice ablations called out in DESIGN.md.
 
-   Usage:  dune exec bench/main.exe [-- fig2 fig5 fig6 fig7 fig8 spurious
-                                        ablation micro latency store
-                                        contention timeline speed summary
-                                        quick --jobs N --json FILE --note k=v]
+   Usage:  dune exec bench/main.exe [-- PANEL... quick --jobs N --json FILE]
 
-   "latency" has no paper counterpart: it drives the open-loop service
-   layer (lib/serve) over list/tree/STM backends, sweeping offered load
-   across each backend's saturation knee and reporting goodput, drop rate
-   and end-to-end tail latency (p50/p99/p99.9).
-   "store" drives the sharded multi-structure store (lib/store) through
-   the same open-loop serve layer under point/txn/scan request-kind
-   mixes, one saturation curve per backend x mix.
-   "contention" sweeps the restart contention-management policy
-   (immediate/backoff/politeness/adaptive, lib/cm) against thread count
-   and Zipfian key skew over four restart-loop shapes (HoH list, HoH
-   (a,b)-tree, tagged NOrec, store transactions), reporting throughput
-   relative to the immediate baseline plus the policy wait counters.
-   "speed" times the latency panel's phase-1 calibration against the
-   host's wall clock and reports simulated ops per wall-second (the
-   simulator's own speed; host-dependent, exported only under "notes").
-   "timeline" runs a closed-loop and an open-loop scenario under an
-   injected mid-run Max_Tags squeeze pulse with windowed telemetry
-   (lib/obs Series) attached, exporting the per-window series as the
-   "timeseries" JSON panel — the abort storm, queue backup and recovery
-   as dynamics rather than end-of-run aggregates.
-   With no arguments everything runs (the paper's full sweep). "quick"
-   restricts the thread sweep for a fast smoke run. --jobs N fans the
-   independent simulation points out over N OCaml domains (0 = auto, 1 =
-   sequential); output and JSON are byte-identical for any value. --note
-   records a key=value pair under "notes" in the JSON export (e.g. host
-   wall-clock stamps that must not perturb the deterministic fields). *)
+   The panels, in the order the registry ([panels], at the end) runs them:
+     fig2 (or fig4)  Figures 2 & 4: lists, 35i/35d/30c
+     fig5            Figure 5: lists, 15i/15d/70c
+     fig6, fig7      Figures 6 & 7: (a,b)-trees, 35/35/30 and 15/15/70
+     fig8            Figure 8: STAMP vacation on NOrec vs tagged NOrec
+     spurious        Section 6: spurious validation failures
+     ablation        tag-op costs, IAS scope, Max_Tags for tagged NOrec
+     latency         the open-loop service layer (lib/serve) over list,
+                     tree and STM backends: goodput, drops and e2e tails
+                     across each backend's saturation knee
+     store           the sharded store (lib/store) under point/txn/scan
+                     request mixes, one saturation curve per backend x mix
+     contention      restart contention policy (lib/cm) x threads x Zipf
+                     skew over four restart-loop shapes
+     timeline        windowed telemetry (lib/obs Series) of a closed- and
+                     an open-loop run under an injected Max_Tags squeeze
+     summary         peak speedups vs the paper's claims, from the figures
+                     that ran before it
+   latency, store, contention and timeline have no paper counterpart.
+
+   With no panel named, every panel runs (the paper's full sweep). A word
+   that is neither a panel nor "quick" is an error (exit 2). "quick"
+   shrinks the sweeps for a fast smoke run. --jobs N fans the independent
+   simulation points out over N OCaml domains (0 = auto, 1 = sequential);
+   stdout and JSON are byte-identical for any value. --json FILE writes the
+   BENCH_*.json document (Mt_workload.Bench_doc): every top-level section
+   is present, empty for the panels that did not run. The wall time goes
+   to stderr. *)
 
 open Mt_sim
 module Spec = Mt_workload.Spec
 module Driver = Mt_workload.Driver
 module Report = Mt_workload.Report
+module Bench_doc = Mt_workload.Bench_doc
 module Pool = Mt_par.Pool
 module Serve = Mt_serve.Server
 module Hist = Mt_obs.Hist
 module Series = Mt_obs.Series
 module Obs = Mt_obs.Obs
+module Json = Mt_obs.Json
+module Store = Mt_store.Store
+module Store_serve = Mt_store.Store_serve
+module Store_backend = Mt_store.Backend
+module Cm = Mt_cm.Cm
+module Zipf = Mt_adversary.Zipf
+module Ctx = Mt_core.Ctx
 
 (* ------------------------------------------------------------------ *)
 (* Configuration. *)
@@ -55,16 +61,11 @@ let threads_sweep () = if !quick then [ 1; 4; 16; 64 ] else [ 1; 2; 4; 8; 16; 32
    0 = auto). Each point builds its own machine/runtime/PRNGs and results
    merge in input order, so output is byte-identical whatever the value. *)
 let jobs = ref 0
-let pjobs () = if !jobs > 0 then !jobs else Pool.default_jobs ()
-
-(* Free-form --note k=v pairs recorded into the JSON export (used to stamp
-   committed artifacts with wall-clock measurements without making the
-   deterministic part of the document depend on the host). *)
-let notes : (string * string) list ref = ref []
+let pmap f points =
+  Pool.map ~jobs:(if !jobs > 0 then !jobs else Pool.default_jobs ()) f points
 
 let list_range = 256
 let tree_range = 8192
-let vacation_relations = 16384
 
 module Abtree_params = struct
   let a = 4
@@ -74,157 +75,48 @@ end
 module Abtree_hoh = Mt_abtree.Abtree_hoh.Make (Abtree_params)
 module Abtree_llx = Mt_abtree.Abtree_llx.Make (Abtree_params)
 
-let list_impls : (module Mt_list.Set_intf.SET) list =
-  [ (module Mt_list.Harris_list); (module Mt_list.Vas_list); (module Mt_list.Hoh_list) ]
-
-let tree_impls : (module Mt_list.Set_intf.SET) list =
-  [ (module Abtree_llx); (module Abtree_hoh) ]
+let store_backend name =
+  match Store_backend.by_name name with
+  | Some b -> b
+  | None -> failwith ("bench: unknown store backend " ^ name)
 
 (* ------------------------------------------------------------------ *)
-(* Generic figure runner for set structures. *)
+(* What a panel produces. A figure's series stay typed so that "summary"
+   can read them; everything else is already a list of JSON rows. *)
 
 type series = { impl : string; points : (int * Driver.result) list }
+type output = Series of series list | Rows of Json.t list
 
-let impl_name (module S : Mt_list.Set_intf.SET) = S.name
+(* ------------------------------------------------------------------ *)
+(* The series runner behind every figure: one implementation's name and
+   how to run one point of the thread sweep (the result plus the detail
+   of its progress line). *)
 
-(* The whole impl × threads grid is a list of independent points; fan it
-   out across domains and stitch the results back per implementation.
-   Progress lines print after the parallel phase, in input order, so
-   stdout is deterministic for any --jobs value. *)
-let run_series impls ~range ~insert_pct ~delete_pct ~measure_cycles =
-  let points =
-    List.concat_map
-      (fun m -> List.map (fun threads -> (m, threads)) (threads_sweep ()))
-      impls
-  in
-  let results =
-    Pool.map ~jobs:(pjobs ())
-      (fun (m, threads) ->
-        let spec =
-          Spec.make ~key_range:range ~insert_pct ~delete_pct ~threads
-            ~measure_cycles ()
+type impl = { name : string; point : threads:int -> Driver.result * string }
+
+let set_impl ~range ~insert_pct ~delete_pct (module S : Mt_list.Set_intf.SET) =
+  {
+    name = S.name;
+    point =
+      (fun ~threads ->
+        let r =
+          Driver.run_set (module S)
+            (Spec.make ~key_range:range ~insert_pct ~delete_pct ~threads
+               ~measure_cycles:150_000 ())
         in
-        Driver.run_set m spec)
-      points
-  in
-  let tagged = List.map2 (fun (m, t) r -> (impl_name m, t, r)) points results in
-  List.map
-    (fun m ->
-      let name = impl_name m in
-      let points =
-        List.filter_map
-          (fun (n, t, r) -> if n = name then Some (t, r) else None)
-          tagged
-      in
-      List.iter
-        (fun (t, r) -> Printf.printf "  [%s t=%d] %d ops\n%!" name t r.Driver.ops)
-        points;
-      { impl = name; points })
-    impls
+        (r, Printf.sprintf "%d ops" r.Driver.ops));
+  }
 
-let print_throughput_table ~title series =
-  let threads = List.map fst (List.hd series).points in
-  Report.table ~title
-    ~columns:("threads" :: List.map (fun s -> s.impl) series)
-    (List.map
-       (fun t ->
-         string_of_int t
-         :: List.map
-              (fun s -> Report.f2 (List.assoc t s.points).Driver.throughput)
-              series)
-       threads)
-
-let print_metric_tables ~prefix series =
-  print_throughput_table ~title:(prefix ^ " — throughput (ops / 1000 cycles)") series;
-  let threads = List.map fst (List.hd series).points in
-  Report.table
-    ~title:(prefix ^ " — L1 miss rate")
-    ~columns:("threads" :: List.map (fun s -> s.impl) series)
-    (List.map
-       (fun t ->
-         string_of_int t
-         :: List.map
-              (fun s -> Report.pct (List.assoc t s.points).Driver.l1_miss_rate)
-              series)
-       threads);
-  Report.table
-    ~title:(prefix ^ " — energy per operation (model units)")
-    ~columns:("threads" :: List.map (fun s -> s.impl) series)
-    (List.map
-       (fun t ->
-         string_of_int t
-         :: List.map
-              (fun s -> Report.f2 (List.assoc t s.points).Driver.energy_per_op)
-              series)
-       threads)
-
-let best_gain base_series other_series =
-  List.fold_left
-    (fun acc (t, r) ->
-      let b = (List.assoc t base_series.points).Driver.throughput in
-      if b > 0.0 then max acc (r.Driver.throughput /. b) else acc)
-    0.0 other_series.points
-
-(* Collected results for the summary block and the --json export. *)
-let collected : (string * series list) list ref = ref []
-let spurious_rows : (string * Driver.result) list ref = ref []
-let headline_rows : (string * string * float option) list ref = ref []
-
-(* ------------------------------------------------------------------ *)
-(* Figures 2 / 4: lists at 35% insert, 35% delete, 30% contains. *)
-
-let fig2_fig4 () =
-  print_endline "\n=== Figures 2 & 4: linked lists, 35i/35d/30c ===";
-  let series =
-    run_series list_impls ~range:list_range ~insert_pct:35 ~delete_pct:35
-      ~measure_cycles:150_000
-  in
-  collected := ("fig2", series) :: !collected;
-  print_throughput_table ~title:"Figure 2 — list throughput vs threads (35/35/30)" series;
-  print_metric_tables ~prefix:"Figure 4 — lists (35/35/30)" series
-
-(* Figure 5: lists at 15% insert, 15% delete, 70% contains. *)
-let fig5 () =
-  print_endline "\n=== Figure 5: linked lists, 15i/15d/70c ===";
-  let series =
-    run_series list_impls ~range:list_range ~insert_pct:15 ~delete_pct:15
-      ~measure_cycles:150_000
-  in
-  collected := ("fig5", series) :: !collected;
-  print_metric_tables ~prefix:"Figure 5 — lists (15/15/70)" series
-
-(* Figures 6 / 7: (a,b)-trees, LLX/SCX baseline vs HoH tagging. *)
-let fig6 () =
-  print_endline "\n=== Figure 6: (a,b)-trees, 35i/35d/30c ===";
-  let series =
-    run_series tree_impls ~range:tree_range ~insert_pct:35 ~delete_pct:35
-      ~measure_cycles:150_000
-  in
-  collected := ("fig6", series) :: !collected;
-  print_metric_tables ~prefix:"Figure 6 — (a,b)-trees (35/35/30)" series
-
-let fig7 () =
-  print_endline "\n=== Figure 7: (a,b)-trees, 15i/15d/70c ===";
-  let series =
-    run_series tree_impls ~range:tree_range ~insert_pct:15 ~delete_pct:15
-      ~measure_cycles:150_000
-  in
-  collected := ("fig7", series) :: !collected;
-  print_metric_tables ~prefix:"Figure 7 — (a,b)-trees (15/15/70)" series
-
-(* ------------------------------------------------------------------ *)
-(* Figure 8: STAMP vacation on NOrec vs tagged NOrec,
-   -n4 -q60 -u90 -r16384 (-t is replaced by a fixed simulated window). *)
-
-let vacation_point (module S : Mt_stm.Stm_intf.S) threads relations =
+(* STAMP vacation -n4 -q60 -u90 on one STM: the result plus the STM's
+   abort and value-based-validation counts. *)
+let vacation (module S : Mt_stm.Stm_intf.S) ~threads ~relations ~max_tags
+    ~warmup_cycles ~measure_cycles =
   let module V = Mt_stamp.Vacation.Make (S) in
   let params = { V.relations; queries = 4; query_pct = 60; user_pct = 90 } in
-  (* STM read sets are much larger than a search-structure window; the
-     Fig. 8 configuration provisions 256 tags (see DESIGN.md). *)
-  let cfg = { (Config.default ~num_cores:threads ()) with Config.max_tags = 256 } in
+  let cfg = { (Config.default ~num_cores:threads ()) with Config.max_tags } in
   let spec =
     Spec.make ~key_range:relations ~insert_pct:0 ~delete_pct:0 ~threads
-      ~warmup_cycles:50_000 ~measure_cycles:400_000 ()
+      ~warmup_cycles ~measure_cycles ()
   in
   let stm_box = ref None in
   let r =
@@ -239,438 +131,418 @@ let vacation_point (module S : Mt_stm.Stm_intf.S) threads relations =
   let stm = Option.get !stm_box in
   (r, S.aborts stm, S.vbv_passes stm)
 
-let stm_name (module S : Mt_stm.Stm_intf.S) = S.name
+(* Figure 8's point: -r16384 (-t is replaced by a fixed simulated window).
+   STM read sets are much larger than a search-structure window, so the
+   configuration provisions 256 tags (see DESIGN.md). *)
+let vacation_impl ((module S : Mt_stm.Stm_intf.S) as stm) =
+  {
+    name = S.name;
+    point =
+      (fun ~threads ->
+        let r, aborts, vbv =
+          vacation stm ~threads
+            ~relations:(if !quick then 4096 else 16384)
+            ~max_tags:256 ~warmup_cycles:50_000 ~measure_cycles:400_000
+        in
+        (r, Printf.sprintf "%d txs, %d aborts, %d vbv passes" r.Driver.ops aborts vbv));
+  }
 
-let fig8 () =
-  print_endline "\n=== Figure 8: STAMP vacation on NOrec (-n4 -q60 -u90 -r16384) ===";
-  let relations = if !quick then 4096 else vacation_relations in
-  let impls : (module Mt_stm.Stm_intf.S) list =
-    [ (module Mt_stm.Norec); (module Mt_stm.Norec_tagged) ]
-  in
+(* The whole impl x threads grid is one list of independent points, fanned
+   out across domains. Progress lines print after the parallel phase, in
+   input order, so stdout is deterministic for any --jobs value. *)
+let run_series impls =
   let points =
-    List.concat_map
-      (fun m -> List.map (fun t -> (m, t)) (threads_sweep ()))
-      impls
+    List.concat_map (fun i -> List.map (fun t -> (i, t)) (threads_sweep ())) impls
   in
-  let results =
-    Pool.map ~jobs:(pjobs ())
-      (fun (m, t) -> vacation_point m t relations)
-      points
-  in
-  let tagged =
-    List.map2
-      (fun (m, t) (r, aborts, vbv) -> (stm_name m, t, r, aborts, vbv))
-      points results
-  in
-  List.iter
-    (fun (name, t, (r : Driver.result), aborts, vbv) ->
-      Printf.printf "  [%s t=%d] %d txs, %d aborts, %d vbv passes\n%!" name t
-        r.Driver.ops aborts vbv)
-    tagged;
-  let series =
-    List.map
-      (fun m ->
-        let name = stm_name m in
-        {
-          impl = name;
-          points =
-            List.filter_map
-              (fun (n, t, r, _, _) -> if n = name then Some (t, r) else None)
-              tagged;
-        })
-      impls
-  in
-  collected := ("fig8", series) :: !collected;
-  print_metric_tables ~prefix:"Figure 8 — vacation" series
+  let results = pmap (fun (i, threads) -> i.point ~threads) points in
+  List.iter2
+    (fun (i, t) (_, detail) -> Printf.printf "  [%s t=%d] %s\n%!" i.name t detail)
+    points results;
+  List.map
+    (fun i ->
+      {
+        impl = i.name;
+        points =
+          List.filter_map
+            (fun ((i', t), (r, _)) -> if i'.name = i.name then Some (t, r) else None)
+            (List.combine points results);
+      })
+    impls
+
+let metric_table ~title cell series =
+  Report.table ~title
+    ~columns:("threads" :: List.map (fun s -> s.impl) series)
+    (List.map
+       (fun (t, _) ->
+         string_of_int t :: List.map (fun s -> cell (List.assoc t s.points)) series)
+       (List.hd series).points)
+
+let throughput (r : Driver.result) = Report.f2 r.throughput
+
+let figure ~banner ?throughput_title ~prefix impls _ =
+  print_endline ("\n=== " ^ banner ^ " ===");
+  let series = run_series impls in
+  Option.iter (fun title -> metric_table ~title throughput series) throughput_title;
+  metric_table ~title:(prefix ^ " — throughput (ops / 1000 cycles)") throughput series;
+  metric_table ~title:(prefix ^ " — L1 miss rate")
+    (fun r -> Report.pct r.Driver.l1_miss_rate)
+    series;
+  metric_table ~title:(prefix ^ " — energy per operation (model units)")
+    (fun r -> Report.f2 r.Driver.energy_per_op)
+    series;
+  Series series
+
+let lists ~insert_pct ~delete_pct =
+  List.map
+    (set_impl ~range:list_range ~insert_pct ~delete_pct)
+    [ (module Mt_list.Harris_list); (module Mt_list.Vas_list); (module Mt_list.Hoh_list) ]
+
+let trees ~insert_pct ~delete_pct =
+  List.map
+    (set_impl ~range:tree_range ~insert_pct ~delete_pct)
+    [ (module Abtree_llx); (module Abtree_hoh) ]
+
+let series_to_json (s : series) =
+  Json.Obj
+    [
+      ("impl", Json.String s.impl);
+      ("points",
+       Json.List
+         (List.map
+            (fun (threads, r) ->
+              Json.Obj
+                [ ("threads", Json.Int threads); ("result", Driver.result_to_json r) ])
+            s.points));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Section 6 observation: spurious invalidations are negligible. *)
 
-let spurious () =
+let spurious _ =
   print_endline "\n=== Section 6: spurious validation failures ===";
   let spec range =
     Spec.make ~key_range:range ~insert_pct:35 ~delete_pct:35 ~threads:16
       ~measure_cycles:150_000 ()
   in
-  (* Three independent points; run them domain-parallel, report in order. *)
-  let jobs_list : (string * (unit -> Driver.result)) list =
-    [
-      ("hoh-list r512",
-       fun () -> Driver.run_set (module Mt_list.Hoh_list) (spec list_range));
-      ("hoh-abtree r8192",
-       fun () -> Driver.run_set (module Abtree_hoh) (spec tree_range));
-      (* A deliberately oversized structure shows capacity evictions rising. *)
-      ("hoh-abtree r65536",
-       fun () ->
-         Driver.run_set (module Abtree_hoh)
-           (Spec.make ~key_range:65536 ~insert_pct:35 ~delete_pct:35 ~threads:16
-              ~measure_cycles:150_000 ()));
-    ]
-  in
   let results =
-    Pool.map ~jobs:(pjobs ()) (fun (name, f) -> (name, f ())) jobs_list
-  in
-  let rows =
-    List.map
-      (fun (name, (r : Driver.result)) ->
-        let frac =
-          if r.validates = 0 then 0.0
-          else
-            float_of_int r.validate_failures_spurious /. float_of_int r.validates
-        in
-        spurious_rows := !spurious_rows @ [ (name, r) ];
-        [
-          name;
-          string_of_int r.validates;
-          string_of_int r.validate_failures;
-          string_of_int r.validate_failures_spurious;
-          Report.pct frac;
-        ])
-      results
+    pmap
+      (fun (name, m, range) -> (name, Driver.run_set m (spec range)))
+      [
+        ("hoh-list r512", (module Mt_list.Hoh_list : Mt_list.Set_intf.SET), list_range);
+        ("hoh-abtree r8192", (module Abtree_hoh), tree_range);
+        (* A deliberately oversized structure shows capacity evictions rising. *)
+        ("hoh-abtree r65536", (module Abtree_hoh), 65536);
+      ]
   in
   Report.table ~title:"Spurious (capacity/overflow) validation failures"
     ~columns:[ "workload"; "validates"; "failures"; "spurious"; "spurious/validate" ]
-    rows
+    (List.map
+       (fun (name, (r : Driver.result)) ->
+         [
+           name;
+           string_of_int r.validates;
+           string_of_int r.validate_failures;
+           string_of_int r.validate_failures_spurious;
+           Report.pct
+             (if r.validates = 0 then 0.0
+              else float_of_int r.validate_failures_spurious /. float_of_int r.validates);
+         ])
+       results);
+  Rows
+    (List.map
+       (fun (name, (r : Driver.result)) ->
+         Json.Obj
+           [
+             ("workload", Json.String name);
+             ("validates", Json.Int r.validates);
+             ("validate_failures", Json.Int r.validate_failures);
+             ("validate_failures_spurious", Json.Int r.validate_failures_spurious);
+             ("result", Driver.result_to_json r);
+           ])
+       results)
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (DESIGN.md): explicit tag-op costs, conservative IAS,
-   Max_Tags sensitivity for the STM. *)
+   Max_Tags sensitivity for the STM. Rows within a table are independent
+   simulations, run through the pool and printed in row order. *)
 
-let ablation () =
+let ablation _ =
   print_endline "\n=== Ablations ===";
-  (* Rows within a table are independent simulations; run each table's rows
-     through the pool and print once they are all back, in row order. *)
-  let rows thunks = Pool.map ~jobs:(pjobs ()) (fun f -> f ()) thunks in
-  let base_spec =
-    Spec.make ~key_range:list_range ~insert_pct:35 ~delete_pct:35 ~threads:16
-      ~measure_cycles:150_000 ()
-  in
-  let with_cfg name cfg () =
-    let r = Driver.run_set ~cfg (module Mt_list.Hoh_list) base_spec in
+  let cfg0 = Config.default ~num_cores:16 () in
+  let set_row (module S : Mt_list.Set_intf.SET) ~range (name, cfg) =
+    let r =
+      Driver.run_set ~cfg (module S)
+        (Spec.make ~key_range:range ~insert_pct:35 ~delete_pct:35 ~threads:16
+           ~measure_cycles:150_000 ())
+    in
     [ name; Report.f2 r.Driver.throughput; Report.pct r.Driver.l1_miss_rate ]
   in
-  let cfg0 = Config.default ~num_cores:16 () in
   Report.table ~title:"Ablation: explicit tag-instruction costs (HoH list, t16)"
     ~columns:[ "config"; "thr/kcyc"; "L1 miss" ]
-    (rows
+    (pmap
+       (set_row (module Mt_list.Hoh_list) ~range:list_range)
        [
-         with_cfg "tag=0 validate=0 (default)" cfg0;
-         with_cfg "tag=1 validate=1"
-           { cfg0 with Config.lat_tag_op = 1; lat_validate = 1 };
-         with_cfg "tag=2 validate=4"
-           { cfg0 with Config.lat_tag_op = 2; lat_validate = 4 };
+         ("tag=0 validate=0 (default)", cfg0);
+         ("tag=1 validate=1", { cfg0 with Config.lat_tag_op = 1; lat_validate = 1 });
+         ("tag=2 validate=4", { cfg0 with Config.lat_tag_op = 2; lat_validate = 4 });
        ]);
-  let tree_spec =
-    Spec.make ~key_range:tree_range ~insert_pct:35 ~delete_pct:35 ~threads:16
-      ~measure_cycles:150_000 ()
-  in
-  let tree_cfg name cfg () =
-    let r = Driver.run_set ~cfg (module Abtree_hoh) tree_spec in
-    [ name; Report.f2 r.Driver.throughput; Report.pct r.Driver.l1_miss_rate ]
-  in
   Report.table ~title:"Ablation: IAS invalidation scope (HoH abtree, t16)"
     ~columns:[ "config"; "thr/kcyc"; "L1 miss" ]
-    (rows
+    (pmap
+       (set_row (module Abtree_hoh) ~range:tree_range)
        [
-         tree_cfg "tag-targeted IAS (default)" cfg0;
-         tree_cfg "IAS elevates all sharers"
-           { cfg0 with Config.ias_tag_targeted = false };
+         ("tag-targeted IAS (default)", cfg0);
+         ("IAS elevates all sharers", { cfg0 with Config.ias_tag_targeted = false });
        ]);
-  let vac_row max_tags =
-    let module S = Mt_stm.Norec_tagged in
-    let module V = Mt_stamp.Vacation.Make (S) in
-    let params = { V.relations = 4096; queries = 4; query_pct = 60; user_pct = 90 } in
-    let cfg = { (Config.default ~num_cores:16 ()) with Config.max_tags } in
-    let spec =
-      Spec.make ~key_range:4096 ~insert_pct:0 ~delete_pct:0 ~threads:16
-        ~measure_cycles:300_000 ()
-    in
-    let r =
-      Driver.run_custom ~cfg ~name:"vacation"
-        ~setup:(fun ctx ->
-          let stm = S.create ctx in
-          (stm, V.setup ctx stm params))
-        ~op:(fun ctx (stm, mgr) -> V.client_op ctx stm mgr params)
-        spec
-    in
-    [ string_of_int max_tags; Report.f2 r.Driver.throughput ]
-  in
   Report.table ~title:"Ablation: Max_Tags for tagged NOrec (vacation r4096, t16)"
     ~columns:[ "Max_Tags"; "thr/kcyc" ]
-    (Pool.map ~jobs:(pjobs ()) vac_row [ 32; 64; 128; 256 ])
+    (pmap
+       (fun max_tags ->
+         let r, _, _ =
+           vacation (module Mt_stm.Norec_tagged) ~threads:16 ~relations:4096
+             ~max_tags ~warmup_cycles:30_000 ~measure_cycles:300_000
+         in
+         [ string_of_int max_tags; Report.f2 r.Driver.throughput ])
+       [ 32; 64; 128; 256 ]);
+  Rows []
 
 (* ------------------------------------------------------------------ *)
-(* Offered-load sweep: the open-loop service layer (lib/serve) over one
-   list, one tree and one STM backend. Closed-loop figures cannot see
-   queueing delay; here load is offered at a configured rate whether or
-   not the backend keeps up. Each backend is first calibrated by offering
-   far more load than it can serve (goodput then measures saturation
-   capacity), and the grid offers multiples of that capacity so the knee
-   is always in frame: goodput plateaus at 1.0x while the end-to-end tail
-   explodes. No paper counterpart (the paper measures closed-loop only). *)
+(* The open-loop panels (no paper counterpart: the paper measures
+   closed-loop only). Closed-loop figures cannot see queueing delay; here
+   load is offered at a configured rate whether or not the target keeps
+   up. Phase 1 offers far more load than any target can serve, so its
+   goodput is the target's saturation capacity; phase 2 offers multiples
+   of that capacity, so the knee is always in frame: goodput plateaus at
+   1.0x while the end-to-end tail explodes. *)
 
 let serve_workers = 4
+let cal_rate = 200.0
+let serve_horizon () = if !quick then 60_000 else 120_000
 
-type serve_backend = {
-  sb_name : string;
-  sb_run : rate:float -> horizon:int -> Serve.result;
-}
+let serve_config ~rate ~horizon =
+  Serve.config ~workers:serve_workers ~batch:4 ~queue_capacity:128
+    ~rate_per_kcycle:rate ~horizon ()
 
-let serve_set_backend (module S : Mt_list.Set_intf.SET) ~range =
-  {
-    sb_name = S.name;
-    sb_run =
-      (fun ~rate ~horizon ->
-        Serve.run_set
-          (module S)
-          ~key_range:range
-          (Serve.config ~workers:serve_workers ~batch:4 ~queue_capacity:128
-             ~rate_per_kcycle:rate ~horizon ()));
-  }
+(* Per target, in input order: its calibration result and its grid of
+   (load multiple, result). *)
+let calibrate_then_grid ~run ~goodput ~mults targets =
+  let calibrated = pmap (fun x -> run x cal_rate) targets in
+  let points =
+    List.concat
+      (List.map2
+         (fun x cal -> List.map (fun m -> (x, m *. goodput cal)) mults)
+         targets calibrated)
+  in
+  let results = pmap (fun (x, rate) -> run x rate) points in
+  let per = List.length mults in
+  List.mapi
+    (fun i (x, cal) ->
+      (x, cal, List.mapi (fun j m -> (m, List.nth results ((i * per) + j))) mults))
+    (List.combine targets calibrated)
 
-(* The STM backend serves transactional map operations (35% insert, 35%
-   delete, 30% lookup) on tagged NOrec, with the Fig. 8 tag provisioning. *)
-let serve_stm_backend ~range =
+(* A panel's JSON rows: every calibration point (load multiple 0), then
+   every grid point. *)
+let calibrate_then_grid_rows row groups =
+  List.map (fun (x, cal, _) -> row x 0.0 cal) groups
+  @ List.concat_map (fun (x, _, grid) -> List.map (fun (m, r) -> row x m r) grid) groups
+
+(* Latency: one list, one tree and one STM backend. The STM backend serves
+   transactional map operations (35% insert, 35% delete, 30% lookup) on
+   tagged NOrec with the Fig. 8 tag provisioning, over 512 keys: the
+   transactional BST stays cache-resident, keeping it in the same
+   capacity class as the structures (a 4096-key map is memory-bound at
+   ~25x the service time). *)
+
+let serve_set (module S : Mt_list.Set_intf.SET) ~range =
+  (S.name, fun ~rate ~horizon ->
+      Serve.run_set (module S) ~key_range:range (serve_config ~rate ~horizon))
+
+let serve_stm ~range =
   let module S = Mt_stm.Norec_tagged in
   let module TM = Mt_stamp.Tx_map.Make (S) in
-  {
-    sb_name = "norec-tagged-map";
-    sb_run =
-      (fun ~rate ~horizon ->
-        let cfg =
-          { (Config.default ~num_cores:(serve_workers + 1) ()) with
-            Config.max_tags = 256 }
-        in
-        let c =
-          Serve.config ~workers:serve_workers ~batch:4 ~queue_capacity:128
-            ~rate_per_kcycle:rate ~horizon ()
-        in
-        Serve.run ~cfg ~name:"norec-tagged-map"
-          ~setup:(fun ctx ->
-            let stm = S.create ctx in
-            let map = TM.create ctx in
-            let g = Prng.create ~seed:(c.Serve.seed + 1) in
-            for k = 0 to range - 1 do
-              if Prng.float g < 0.5 then
-                S.atomically ctx stm (fun tx -> ignore (TM.insert tx map k k))
-            done;
-            (stm, map))
-          ~op:(fun ctx (stm, map) payload ->
-            let k = (payload lsr 20) mod range in
-            let r = payload mod 100 in
-            S.atomically ctx stm (fun tx ->
-                if r < 35 then ignore (TM.insert tx map k k)
-                else if r < 70 then ignore (TM.remove tx map k)
-                else ignore (TM.find tx map k)))
-          c);
-  }
+  ( "norec-tagged-map",
+    fun ~rate ~horizon ->
+      let cfg =
+        { (Config.default ~num_cores:(serve_workers + 1) ()) with Config.max_tags = 256 }
+      in
+      let c = serve_config ~rate ~horizon in
+      Serve.run ~cfg ~name:"norec-tagged-map"
+        ~setup:(fun ctx ->
+          let stm = S.create ctx in
+          let map = TM.create ctx in
+          let g = Prng.create ~seed:(c.Serve.seed + 1) in
+          for k = 0 to range - 1 do
+            if Prng.float g < 0.5 then
+              S.atomically ctx stm (fun tx -> ignore (TM.insert tx map k k))
+          done;
+          (stm, map))
+        ~op:(fun ctx (stm, map) payload ->
+          let k = (payload lsr 20) mod range in
+          let r = payload mod 100 in
+          S.atomically ctx stm (fun tx ->
+              if r < 35 then ignore (TM.insert tx map k k)
+              else if r < 70 then ignore (TM.remove tx map k)
+              else ignore (TM.find tx map k)))
+        c )
 
-let serve_backends () =
-  [
-    serve_set_backend (module Mt_list.Hoh_list) ~range:list_range;
-    serve_set_backend (module Abtree_hoh) ~range:tree_range;
-    (* 512 keys: the transactional BST stays cache-resident, keeping the
-       STM backend in the same capacity class as the structures (a 4096
-       key map is memory-bound at ~25x the service time). *)
-    serve_stm_backend ~range:512;
-  ]
-
-let latency_rows : (string * float * Serve.result) list ref = ref []
-
-let latency () =
+let latency _ =
   print_endline
     "\n=== Offered-load sweep: open-loop service layer (goodput vs tail latency) ===";
-  let horizon = if !quick then 60_000 else 120_000 in
-  let backends = serve_backends () in
-  (* Phase 1: saturation capacity — offer far more than any backend can
-     serve; goodput is then the service capacity of workers + batching. *)
-  let cal_rate = 200.0 in
-  let calibrated =
-    Pool.map ~jobs:(pjobs ())
-      (fun b -> (b, b.sb_run ~rate:cal_rate ~horizon))
-      backends
+  let horizon = serve_horizon () in
+  let groups =
+    calibrate_then_grid
+      [
+        serve_set (module Mt_list.Hoh_list) ~range:list_range;
+        serve_set (module Abtree_hoh) ~range:tree_range;
+        serve_stm ~range:512;
+      ]
+      ~run:(fun (_, run) rate -> run ~rate ~horizon)
+      ~goodput:(fun (r : Serve.result) -> r.goodput)
+      ~mults:
+        (if !quick then [ 0.5; 0.9; 1.1; 1.5 ]
+         else [ 0.25; 0.5; 0.7; 0.85; 1.0; 1.2; 1.5; 2.0 ])
   in
   List.iter
-    (fun (b, (r : Serve.result)) ->
+    (fun ((name, _), (r : Serve.result), _) ->
       Printf.printf "  [%s] capacity %.3f req/kcyc (offered %.0f, drop %.1f%%)\n%!"
-        b.sb_name r.Serve.goodput cal_rate (100.0 *. r.Serve.drop_rate))
-    calibrated;
-  (* Phase 2: the grid — multiples of each backend's measured capacity. *)
-  let mults =
-    if !quick then [ 0.5; 0.9; 1.1; 1.5 ]
-    else [ 0.25; 0.5; 0.7; 0.85; 1.0; 1.2; 1.5; 2.0 ]
-  in
-  let points =
-    List.concat_map
-      (fun (b, (cal : Serve.result)) ->
-        List.map (fun m -> (b, m, m *. cal.Serve.goodput)) mults)
-      calibrated
-  in
-  let results =
-    Pool.map ~jobs:(pjobs ())
-      (fun (b, _, rate) -> b.sb_run ~rate ~horizon)
-      points
-  in
-  let tagged = List.map2 (fun (b, m, _) r -> (b.sb_name, m, r)) points results in
-  latency_rows :=
-    List.map (fun (b, (r : Serve.result)) -> (b.sb_name, 0.0, r)) calibrated
-    @ tagged;
+        name r.goodput cal_rate (100.0 *. r.drop_rate))
+    groups;
   List.iter
-    (fun b ->
-      let rows =
-        List.filter_map
-          (fun (n, m, (r : Serve.result)) ->
-            if n <> b.sb_name then None
-            else
-              Some
-                [
-                  Printf.sprintf "%.2fx" m;
-                  Report.f2 r.Serve.offered;
-                  Report.f2 r.Serve.goodput;
-                  Report.pct r.Serve.drop_rate;
-                  string_of_int (Hist.percentile r.Serve.queue_wait 50.0);
-                  string_of_int (Hist.percentile r.Serve.e2e 50.0);
-                  string_of_int (Hist.percentile r.Serve.e2e 99.0);
-                  string_of_int (Hist.percentile r.Serve.e2e 99.9);
-                ])
-          tagged
-      in
+    (fun ((name, _), _, grid) ->
       Report.table
         ~title:
           (Printf.sprintf
-             "Open-loop service — %s (poisson arrivals, %d workers, batch 4)"
-             b.sb_name serve_workers)
+             "Open-loop service — %s (poisson arrivals, %d workers, batch 4)" name
+             serve_workers)
         ~columns:
-          [ "load"; "offered/kcyc"; "goodput/kcyc"; "drop"; "wait p50";
-            "e2e p50"; "e2e p99"; "e2e p99.9" ]
-        rows)
-    backends
+          [ "load"; "offered/kcyc"; "goodput/kcyc"; "drop"; "wait p50"; "e2e p50";
+            "e2e p99"; "e2e p99.9" ]
+        (List.map
+           (fun (m, (r : Serve.result)) ->
+             [
+               Printf.sprintf "%.2fx" m;
+               Report.f2 r.offered;
+               Report.f2 r.goodput;
+               Report.pct r.drop_rate;
+               string_of_int (Hist.percentile r.queue_wait 50.0);
+               string_of_int (Hist.percentile r.e2e 50.0);
+               string_of_int (Hist.percentile r.e2e 99.0);
+               string_of_int (Hist.percentile r.e2e 99.9);
+             ])
+           grid))
+    groups;
+  Rows
+    (calibrate_then_grid_rows
+       (fun (name, _) mult r ->
+         Json.Obj
+           [
+             ("backend", Json.String name);
+             ("calibration", Json.Bool (mult = 0.0));
+             ("load_multiple", Json.Float mult);
+             ("result", Serve.result_to_json r);
+           ])
+       groups)
 
-(* ------------------------------------------------------------------ *)
-(* Sharded store: saturation curves per request-kind mix per backend.
-   The serve layer drives the sharded multi-structure store (lib/store)
-   with a point/txn/scan request mix; each backend × mix combination is
-   calibrated like the latency panel and then offered multiples of its
-   measured capacity. Store counters (txn commit/abort, scan validation
-   fallbacks, per-shard routing imbalance) ride along with each point.
-   No paper counterpart (the paper has no multi-shard evaluation). *)
-
-module Store = Mt_store.Store
-module Store_serve = Mt_store.Store_serve
-module Store_backend = Mt_store.Backend
+(* Store: the serve layer drives the sharded multi-structure store with a
+   point/txn/scan request mix, one saturation curve per backend x mix.
+   Store counters (txn commit/abort, scan validation fallbacks, per-shard
+   routing imbalance) ride along with each point. *)
 
 let store_shards = 4
 
-let store_mixes =
-  [
-    Store_serve.mix ~point_pct:90 ~txn_pct:5;
-    Store_serve.mix ~point_pct:60 ~txn_pct:30;
-    Store_serve.mix ~point_pct:50 ~txn_pct:20;
-  ]
+let store_row (spec : Store_serve.spec) mult ((r : Serve.result), (st : Store.stats)) =
+  let m = spec.mix in
+  Json.Obj
+    [
+      ("backend", Json.String (Store_backend.name spec.backend));
+      ("mix", Json.String (Store_serve.mix_name m));
+      ("point_pct", Json.Int m.point_pct);
+      ("txn_pct", Json.Int m.txn_pct);
+      ("scan_pct", Json.Int m.scan_pct);
+      ("shards", Json.Int store_shards);
+      ("calibration", Json.Bool (mult = 0.0));
+      ("load_multiple", Json.Float mult);
+      ("result", Serve.result_to_json r);
+      ("store",
+       Json.Obj
+         [
+           ("point_ops", Json.Int st.point_ops);
+           ("txn_commits", Json.Int st.txn_commits);
+           ("txn_aborts", Json.Int st.txn_aborts);
+           ("txn_sub_ops", Json.Int st.txn_sub_ops);
+           ("txn_retries", Json.Int st.txn_retries);
+           ("txn_retries_locked", Json.Int st.txn_retries_locked);
+           ("txn_retries_version", Json.Int st.txn_retries_version);
+           ("scans", Json.Int st.scans);
+           ("scan_collects", Json.Int st.scan_collects);
+           ("scan_tag_fallbacks", Json.Int st.scan_tag_fallbacks);
+           ("scan_shard_retries", Json.Int st.scan_shard_retries);
+           ("shard_ops",
+            Json.List (Array.to_list (Array.map (fun n -> Json.Int n) st.shard_ops)));
+           ("imbalance", Json.Float (Store.imbalance st));
+         ]);
+    ]
 
-let store_backend_names = [ "hoh-list"; "hoh-abtree"; "norec-tagged" ]
-
-let store_rows :
-    (string * Store_serve.mix * float * Serve.result * Store.stats) list ref =
-  ref []
-
-let store () =
-  print_endline
-    "\n=== Sharded store: saturation curves per mix per backend ===";
-  let horizon = if !quick then 60_000 else 120_000 in
-  let specs =
-    List.concat_map
-      (fun name ->
-        let backend =
-          match Store_backend.by_name name with
-          | Some b -> b
-          | None -> failwith ("bench store: unknown backend " ^ name)
-        in
-        List.map
-          (fun mix -> Store_serve.spec ~shards:store_shards ~backend ~mix ())
-          store_mixes)
-      store_backend_names
+let store _ =
+  print_endline "\n=== Sharded store: saturation curves per mix per backend ===";
+  let horizon = serve_horizon () in
+  let groups =
+    calibrate_then_grid
+      (List.concat_map
+         (fun name ->
+           List.map
+             (fun mix ->
+               Store_serve.spec ~shards:store_shards ~backend:(store_backend name)
+                 ~mix ())
+             [
+               Store_serve.mix ~point_pct:90 ~txn_pct:5;
+               Store_serve.mix ~point_pct:60 ~txn_pct:30;
+               Store_serve.mix ~point_pct:50 ~txn_pct:20;
+             ])
+         [ "hoh-list"; "hoh-abtree"; "norec-tagged" ])
+      ~run:(fun spec rate -> Store_serve.run spec (serve_config ~rate ~horizon))
+      ~goodput:(fun ((r : Serve.result), _) -> r.goodput)
+      ~mults:
+        (if !quick then [ 0.5; 1.0; 1.5 ]
+         else [ 0.25; 0.5; 0.85; 1.0; 1.2; 1.5; 2.0 ])
   in
-  let run_point spec rate =
-    Store_serve.run spec
-      (Serve.config ~workers:serve_workers ~batch:4 ~queue_capacity:128
-         ~rate_per_kcycle:rate ~horizon ())
-  in
-  (* Phase 1: saturate each backend × mix combination to measure its
-     service capacity (same protocol as the latency panel). *)
-  let cal_rate = 200.0 in
-  let calibrated =
-    Pool.map ~jobs:(pjobs ()) (fun spec -> (spec, run_point spec cal_rate)) specs
+  let label (spec : Store_serve.spec) =
+    (Store_backend.name spec.backend, Store_serve.mix_name spec.mix)
   in
   List.iter
-    (fun ((spec : Store_serve.spec), ((r : Serve.result), _)) ->
-      Printf.printf "  [%s %s] capacity %.3f req/kcyc (offered %.0f)\n%!"
-        (Store_backend.name spec.backend)
-        (Store_serve.mix_name spec.mix)
-        r.Serve.goodput cal_rate)
-    calibrated;
-  (* Phase 2: the saturation curve — multiples of measured capacity. *)
-  let mults =
-    if !quick then [ 0.5; 1.0; 1.5 ]
-    else [ 0.25; 0.5; 0.85; 1.0; 1.2; 1.5; 2.0 ]
-  in
-  let points =
-    List.concat_map
-      (fun (spec, ((cal : Serve.result), _)) ->
-        List.map (fun m -> (spec, m, m *. cal.Serve.goodput)) mults)
-      calibrated
-  in
-  let results =
-    Pool.map ~jobs:(pjobs ()) (fun (spec, _, rate) -> run_point spec rate) points
-  in
-  let tagged =
-    List.map2
-      (fun ((spec : Store_serve.spec), m, _) (r, st) ->
-        (Store_backend.name spec.backend, spec.mix, m, r, st))
-      points results
-  in
-  store_rows :=
-    List.map
-      (fun ((spec : Store_serve.spec), (r, st)) ->
-        (Store_backend.name spec.backend, spec.mix, 0.0, r, st))
-      calibrated
-    @ tagged;
+    (fun (spec, ((r : Serve.result), _), _) ->
+      let backend, mix = label spec in
+      Printf.printf "  [%s %s] capacity %.3f req/kcyc (offered %.0f)\n%!" backend mix
+        r.goodput cal_rate)
+    groups;
   List.iter
-    (fun ((spec : Store_serve.spec), _) ->
-      let bname = Store_backend.name spec.backend in
-      let rows =
-        List.filter_map
-          (fun (n, mix, m, (r : Serve.result), (st : Store.stats)) ->
-            if n <> bname || mix <> spec.mix then None
-            else
-              let txns = st.txn_commits + st.txn_aborts in
-              Some
-                [
-                  Printf.sprintf "%.2fx" m;
-                  Report.f2 r.Serve.offered;
-                  Report.f2 r.Serve.goodput;
-                  Report.pct r.Serve.drop_rate;
-                  string_of_int (Hist.percentile r.Serve.e2e 99.0);
-                  Report.pct
-                    (if txns = 0 then 0.0
-                     else float_of_int st.txn_aborts /. float_of_int txns);
-                  string_of_int st.scan_tag_fallbacks;
-                  Printf.sprintf "%.2f" (Store.imbalance st);
-                ])
-          tagged
-      in
+    (fun (spec, _, grid) ->
+      let backend, mix = label spec in
       Report.table
         ~title:
-          (Printf.sprintf
-             "Sharded store — %s, mix %s (%d shards, %d workers)"
-             bname
-             (Store_serve.mix_name spec.mix)
-             store_shards serve_workers)
+          (Printf.sprintf "Sharded store — %s, mix %s (%d shards, %d workers)" backend
+             mix store_shards serve_workers)
         ~columns:
-          [ "load"; "offered/kcyc"; "goodput/kcyc"; "drop"; "e2e p99";
-            "txn abort"; "scan fallback"; "imbalance" ]
-        rows)
-    calibrated
+          [ "load"; "offered/kcyc"; "goodput/kcyc"; "drop"; "e2e p99"; "txn abort";
+            "scan fallback"; "imbalance" ]
+        (List.map
+           (fun (m, ((r : Serve.result), (st : Store.stats))) ->
+             let txns = st.txn_commits + st.txn_aborts in
+             [
+               Printf.sprintf "%.2fx" m;
+               Report.f2 r.offered;
+               Report.f2 r.goodput;
+               Report.pct r.drop_rate;
+               string_of_int (Hist.percentile r.e2e 99.0);
+               Report.pct
+                 (if txns = 0 then 0.0
+                  else float_of_int st.txn_aborts /. float_of_int txns);
+               string_of_int st.scan_tag_fallbacks;
+               Printf.sprintf "%.2f" (Store.imbalance st);
+             ])
+           grid))
+    groups;
+  Rows (calibrate_then_grid_rows store_row groups)
 
 (* ------------------------------------------------------------------ *)
 (* Contention panel: restart-management policy x thread count x Zipfian
@@ -684,15 +556,6 @@ let store () =
    identical across policies and throughput differences are pure
    contention-management effect. *)
 
-module Cm = Mt_cm.Cm
-module Zipf = Mt_adversary.Zipf
-module Ctx = Mt_core.Ctx
-
-let contention_policies =
-  [ Cm.immediate; Cm.backoff (); Cm.politeness (); Cm.adaptive () ]
-
-let contention_backends = [ "hoh-list"; "hoh-abtree"; "norec-tagged"; "store-txn" ]
-
 let contention_spec ~range ~insert_pct ~delete_pct ~threads =
   Spec.make ~key_range:range ~insert_pct ~delete_pct ~threads
     ~warmup_cycles:(if !quick then 10_000 else 30_000)
@@ -703,12 +566,18 @@ let contention_spec ~range ~insert_pct ~delete_pct ~threads =
    to the LARGEST key, so for ordered structures the contended nodes sit
    at the end of the longest traversal path — a restart throws away the
    whole hand-over-hand walk, which is exactly the storm contention
-   management exists to calm. *)
-let contention_set_point ?cfg (module S : Mt_list.Set_intf.SET) ~range ~theta
-    ~cm ~threads =
+   management exists to calm. The set points run the conservative IAS
+   variant (paper §3's sketch; the same knob as the ablation panel):
+   every successful delete elevates the whole tag set to M, so each
+   success invalidates all concurrent walkers sharing the hot lines and
+   the restart storm has a real fabric cost. *)
+let contention_set_point (module S : Mt_list.Set_intf.SET) ~range ~theta ~cm ~threads =
   let z = Zipf.create ~n:range ~theta in
   let spec = contention_spec ~range ~insert_pct:45 ~delete_pct:45 ~threads in
-  Driver.run_custom ?cfg ~cm ~name:S.name
+  let cfg =
+    { (Config.default ~num_cores:threads ()) with Config.ias_tag_targeted = false }
+  in
+  Driver.run_custom ~cfg ~cm ~name:S.name
     ~setup:(fun ctx ->
       let s = S.create ctx in
       let g = Prng.create ~seed:(spec.Spec.seed + 1) in
@@ -756,14 +625,8 @@ let contention_stm_point ~range ~theta ~cm ~threads =
 let contention_store_point ~theta ~cm ~threads =
   let key_space = 8192 and shards = 8 and txn_keys = 3 in
   let z = Zipf.create ~n:key_space ~theta in
-  let backend =
-    match Store_backend.by_name "hoh-list" with
-    | Some b -> b
-    | None -> failwith "bench contention: unknown store backend"
-  in
-  let spec =
-    contention_spec ~range:key_space ~insert_pct:0 ~delete_pct:0 ~threads
-  in
+  let backend = store_backend "hoh-list" in
+  let spec = contention_spec ~range:key_space ~insert_pct:0 ~delete_pct:0 ~threads in
   Driver.run_custom ~cm ~name:"store-txn"
     ~setup:(fun ctx ->
       let st = Store.create backend ctx ~shards ~key_space in
@@ -780,99 +643,52 @@ let contention_store_point ~theta ~cm ~threads =
         else
           let k = Zipf.sample z g in
           let o =
-            match Prng.int g 3 with
-            | 0 -> Store.Insert
-            | 1 -> Store.Delete
-            | _ -> Store.Get
+            match Prng.int g 3 with 0 -> Store.Insert | 1 -> Store.Delete | _ -> Store.Get
           in
           build (i - 1) ((k, o) :: acc)
       in
       ignore (Store.txn ctx st (build txn_keys [])))
     spec
 
-let contention_rows :
-    (string * string * int * float * Driver.result) list ref = ref []
+(* The 2048-node list is where storms bite hardest: one restart forfeits
+   a full L2-latency hand-over-hand walk. *)
+let contention_backends =
+  [
+    ("hoh-list", contention_set_point (module Mt_list.Hoh_list) ~range:2048);
+    ("hoh-abtree", contention_set_point (module Abtree_hoh) ~range:tree_range);
+    ("norec-tagged", contention_stm_point ~range:1024);
+    ("store-txn", contention_store_point);
+  ]
 
-let contention () =
-  print_endline
-    "\n=== Contention management: policy x threads x Zipf skew ===";
+let contention _ =
+  print_endline "\n=== Contention management: policy x threads x Zipf skew ===";
   let threads_list = if !quick then [ 8; 64 ] else [ 4; 16; 64 ] in
   let thetas = if !quick then [ 0.99; 2.0 ] else [ 0.6; 0.99; 2.0 ] in
   let points =
     List.concat_map
       (fun backend ->
         List.concat_map
-          (fun pol ->
+          (fun cm ->
             List.concat_map
               (fun threads ->
-                List.map (fun theta -> (backend, pol, threads, theta)) thetas)
+                List.map (fun theta -> (backend, cm, threads, theta)) thetas)
               threads_list)
-          contention_policies)
+          [ Cm.immediate; Cm.backoff (); Cm.politeness (); Cm.adaptive () ])
       contention_backends
   in
-  let results =
-    Pool.map ~jobs:(pjobs ())
-      (fun (backend, pol, threads, theta) ->
-        (* The set-structure points run the conservative IAS variant
-           (paper §3's sketch; the same knob as the ablation panel):
-           every successful delete elevates the whole tag set to M, so
-           each success invalidates all concurrent walkers sharing the
-           hot lines and the restart storm has a real fabric cost. The
-           2048-node list is where storms bite hardest: one restart
-           forfeits a full L2-latency hand-over-hand walk. *)
-        let conservative threads =
-          { (Config.default ~num_cores:threads ()) with
-            Config.ias_tag_targeted = false }
-        in
-        match backend with
-        | "hoh-list" ->
-            contention_set_point ~cfg:(conservative threads)
-              (module Mt_list.Hoh_list)
-              ~range:2048 ~theta ~cm:pol ~threads
-        | "hoh-abtree" ->
-            contention_set_point ~cfg:(conservative threads)
-              (module Abtree_hoh)
-              ~range:tree_range ~theta ~cm:pol ~threads
-        | "norec-tagged" ->
-            contention_stm_point ~range:1024 ~theta ~cm:pol ~threads
-        | _ -> contention_store_point ~theta ~cm:pol ~threads)
-      points
-  in
-  let tagged =
+  let rows =
     List.map2
-      (fun (b, pol, t, th) r -> (b, Cm.spec_name pol, t, th, r))
-      points results
+      (fun ((name, _), cm, t, th) r -> (name, Cm.spec_name cm, t, th, r))
+      points
+      (pmap (fun ((_, run), cm, threads, theta) -> run ~theta ~cm ~threads) points)
   in
-  contention_rows := tagged;
   List.iter
-    (fun backend ->
-      let rows = List.filter (fun (b, _, _, _, _) -> b = backend) tagged in
+    (fun (backend, _) ->
+      let rows = List.filter (fun (b, _, _, _, _) -> b = backend) rows in
       let imm_thr t th =
         List.find_map
           (fun (_, pol, t', th', (r : Driver.result)) ->
-            if pol = "immediate" && t' = t && th' = th then
-              Some r.Driver.throughput
-            else None)
-          rows
-      in
-      let body =
-        List.map
-          (fun (_, pol, t, th, (r : Driver.result)) ->
-            let vs =
-              match imm_thr t th with
-              | Some base when base > 0.0 ->
-                  Printf.sprintf "%.2fx" (r.Driver.throughput /. base)
-              | _ -> "-"
-            in
-            [
-              pol;
-              string_of_int t;
-              Printf.sprintf "%.2f" th;
-              Report.f2 r.Driver.throughput;
-              vs;
-              string_of_int r.Driver.stats.Stats.cm_waits;
-              string_of_int r.Driver.stats.Stats.cm_wait_cycles;
-            ])
+            if pol = "immediate" && t' = t && th' = th then Some r.throughput else None)
           rows
       in
       Report.table
@@ -880,123 +696,40 @@ let contention () =
         ~columns:
           [ "policy"; "threads"; "theta"; "thr/kcyc"; "vs imm"; "cm waits";
             "wait cycles" ]
-        body)
-    contention_backends
-
-(* ------------------------------------------------------------------ *)
-(* Wall-clock speed of the simulator itself: how many simulated requests
-   the host executes per wall-second on the BENCH_3 phase-1 calibration
-   microbench (all three serve backends saturated at 200 req/kcycle over
-   a 120k-cycle horizon, run sequentially on one domain so the number is
-   a single-core figure). Host-dependent by design — the result goes to
-   stdout and, with --json, under "notes", never into the deterministic
-   fields. *)
-
-let speed () =
-  print_endline
-    "\n=== Wall-clock speed: BENCH_3 calibration microbench (host-dependent) ===";
-  let horizon = 120_000 and rate = 200.0 in
-  let t0 = Unix.gettimeofday () in
-  let completed =
-    List.fold_left
-      (fun acc b -> acc + (b.sb_run ~rate ~horizon).Serve.completed)
-      0 (serve_backends ())
-  in
-  let dt = Unix.gettimeofday () -. t0 in
-  let ops_per_s = float_of_int completed /. dt in
-  Printf.printf
-    "  %d requests served in %.3f s wall — %.0f simulated ops/wall-second\n"
-    completed dt ops_per_s;
-  notes :=
-    !notes
-    @ [
-        ("speed_bench", "latency phase-1 calibration, rate=200, horizon=120k");
-        ("speed_requests", string_of_int completed);
-        ("speed_wall_s", Printf.sprintf "%.3f" dt);
-        ("speed_ops_per_wall_s", Printf.sprintf "%.0f" ops_per_s);
-      ]
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: host-level cost of the simulator's primitive
-   operations (how expensive is simulating each primitive). *)
-
-let micro () =
-  print_endline "\n=== Bechamel micro-benchmarks (host ns per simulated primitive) ===";
-  let open Bechamel in
-  let open Bechamel.Toolkit in
-  let m = Machine.create (Config.default ~num_cores:2 ()) in
-  let a = Machine.alloc m ~words:8 in
-  let tests =
-    [
-      Test.make ~name:"machine-read" (Staged.stage (fun () -> ignore (Machine.read m ~core:0 a)));
-      Test.make ~name:"machine-write"
-        (Staged.stage (fun () -> ignore (Machine.write m ~core:0 a 1)));
-      Test.make ~name:"machine-cas"
-        (Staged.stage (fun () ->
-             ignore (Machine.cas m ~core:0 a ~expected:0 ~desired:0)));
-      Test.make ~name:"machine-tag-clear"
-        (Staged.stage (fun () ->
-             ignore (Machine.add_tag m ~core:0 a ~words:1);
-             ignore (Machine.clear_tag_set m ~core:0)));
-      Test.make ~name:"machine-vas"
-        (Staged.stage (fun () -> ignore (Machine.vas m ~core:0 a 1)));
-      Test.make ~name:"machine-ias"
-        (Staged.stage (fun () -> ignore (Machine.ias m ~core:0 a 1)));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg Instance.[ monotonic_clock ] test in
-      let results = Analyze.all ols Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "  %-24s %8.1f ns/op\n" name est
-          | _ -> Printf.printf "  %-24s (no estimate)\n" name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* Headline summary (Section 6 discussion claims). *)
-
-let summary () =
-  print_endline "\n=== Headline comparison vs the paper's claims ===";
-  let find key = List.assoc_opt key !collected in
-  let gain key base other =
-    match find key with
-    | None -> None
-    | Some series -> (
-        match
-          ( List.find_opt (fun s -> s.impl = base) series,
-            List.find_opt (fun s -> s.impl = other) series )
-        with
-        | Some b, Some o -> Some (best_gain b o)
-        | _ -> None)
-  in
-  let row name paper measured =
-    headline_rows := !headline_rows @ [ (name, paper, measured) ];
-    [ name; paper; (match measured with Some g -> Printf.sprintf "%.2fx" g | None -> "(skipped)") ]
-  in
-  Report.table ~title:"Peak speedups across the thread sweep"
-    ~columns:[ "comparison"; "paper"; "measured (best over threads)" ]
-    [
-      row "HoH list vs Harris (35/35)" "1.10-1.50x" (gain "fig2" "harris-list" "hoh-list");
-      row "VAS list vs Harris (35/35)" "1.10-1.50x" (gain "fig2" "harris-list" "vas-list");
-      row "HoH abtree vs LLX/SCX (35/35)" "up to 2x" (gain "fig6" "llx-abtree(4,8)" "hoh-abtree(4,8)");
-      row "HoH abtree vs LLX/SCX (15/15)" "up to 2x" (gain "fig7" "llx-abtree(4,8)" "hoh-abtree(4,8)");
-      row "tagged NOrec vs NOrec (vacation)" "up to 1.5x" (gain "fig8" "norec" "norec-tagged");
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Machine-readable export: everything collected during the run, in a
-   fixed figure order. This is the BENCH_*.json schema — extend, don't
-   reorder or rename. *)
-
-module Json = Mt_obs.Json
+        (List.map
+           (fun (_, pol, t, th, (r : Driver.result)) ->
+             [
+               pol;
+               string_of_int t;
+               Printf.sprintf "%.2f" th;
+               Report.f2 r.throughput;
+               (match imm_thr t th with
+               | Some base when base > 0.0 ->
+                   Printf.sprintf "%.2fx" (r.throughput /. base)
+               | _ -> "-");
+               string_of_int r.stats.Stats.cm_waits;
+               string_of_int r.stats.Stats.cm_wait_cycles;
+             ])
+           rows))
+    contention_backends;
+  Rows
+    (List.map
+       (fun (backend, policy, threads, theta, (r : Driver.result)) ->
+         Json.Obj
+           [
+             ("backend", Json.String backend);
+             ("policy", Json.String policy);
+             ("threads", Json.Int threads);
+             ("theta", Json.Float theta);
+             ("result", Driver.result_to_json r);
+             ("cm",
+              Json.Obj
+                [
+                  ("waits", Json.Int r.stats.Stats.cm_waits);
+                  ("wait_cycles", Json.Int r.stats.Stats.cm_wait_cycles);
+                ]);
+           ])
+       rows)
 
 (* ------------------------------------------------------------------ *)
 (* Timeline: windowed telemetry under an injected Max_Tags squeeze.
@@ -1012,11 +745,9 @@ module Json = Mt_obs.Json
    byte-identical for any --jobs value and with tracing on or off. *)
 
 let timeline_window = 5_000
-let timeline_rows : Json.t list ref = ref []
 
-let timeline () =
-  print_endline
-    "\n=== Timeline: windowed telemetry under a Max_Tags squeeze pulse ===";
+let timeline _ =
+  print_endline "\n=== Timeline: windowed telemetry under a Max_Tags squeeze pulse ===";
   let horizon = if !quick then 60_000 else 150_000 in
   let fault = Printf.sprintf "squeeze=%d,1,%d" (horizon / 3) (horizon / 5) in
   let spec_inj =
@@ -1034,26 +765,21 @@ let timeline () =
       Spec.make ~key_range:list_range ~insert_pct:35 ~delete_pct:35 ~threads:8
         ~measure_cycles:horizon ()
     in
-    let r =
-      Driver.run_set ~obs ~make_policy ~series (module Mt_list.Hoh_list) spec
-    in
+    let r = Driver.run_set ~obs ~make_policy ~series (module Mt_list.Hoh_list) spec in
     ("closed-squeeze", "closed-loop", series, Driver.result_to_json r)
   in
   let serve () =
     let obs = Obs.create ~retain:false ~num_cores:(serve_workers + 1) () in
     let series = Series.create ~window:timeline_window () in
-    let c =
-      Serve.config ~workers:serve_workers ~batch:4 ~queue_capacity:128
-        ~rate_per_kcycle:8.0 ~horizon ()
-    in
     let r =
       Serve.run_set ~obs ~make_policy ~series
         (module Mt_list.Hoh_list)
-        ~key_range:list_range c
+        ~key_range:list_range
+        (serve_config ~rate:8.0 ~horizon)
     in
     ("serve-squeeze", "open-loop", series, Serve.result_to_json r)
   in
-  let scenarios = Pool.map ~jobs:(pjobs ()) (fun f -> f ()) [ closed; serve ] in
+  let scenarios = pmap (fun f -> f ()) [ closed; serve ] in
   List.iter
     (fun (name, _, series, _) ->
       List.iter
@@ -1077,231 +803,194 @@ let timeline () =
         w.Series.w_snap.Series.c_tag_overflows w.Series.w_validate_spurious
         w.Series.w_ops)
     scenarios;
-  timeline_rows :=
-    List.map
-      (fun (name, mode, series, result) ->
-        Json.Obj
-          [
-            ("scenario", Json.String name);
-            ("mode", Json.String mode);
-            ("backend", Json.String "hoh-list");
-            ("fault_spec", Json.String fault);
-            ("series", Series.to_json series);
-            ("result", result);
-          ])
-      scenarios
+  Rows
+    (List.map
+       (fun (name, mode, series, result) ->
+         Json.Obj
+           [
+             ("scenario", Json.String name);
+             ("mode", Json.String mode);
+             ("backend", Json.String "hoh-list");
+             ("fault_spec", Json.String fault);
+             ("series", Series.to_json series);
+             ("result", result);
+           ])
+       scenarios)
 
-let figure_order = [ "fig2"; "fig5"; "fig6"; "fig7"; "fig8" ]
+(* ------------------------------------------------------------------ *)
+(* Headline summary (Section 6 discussion claims), from the figures that
+   ran before it; a figure that did not run is an explicit skip. *)
 
-let series_to_json (s : series) =
-  Json.Obj
+let summary series_of =
+  print_endline "\n=== Headline comparison vs the paper's claims ===";
+  let gain fig base other =
+    let find series name = List.find_opt (fun s -> s.impl = name) series in
+    match Option.map (fun s -> (find s base, find s other)) (series_of fig) with
+    | Some (Some base, Some other) ->
+        Some
+          (List.fold_left
+             (fun acc (t, (r : Driver.result)) ->
+               let b = (List.assoc t base.points).Driver.throughput in
+               if b > 0.0 then max acc (r.throughput /. b) else acc)
+             0.0 other.points)
+    | _ -> None
+  in
+  let claims =
     [
-      ("impl", Json.String s.impl);
-      ("points",
-       Json.List
-         (List.map
-            (fun (threads, r) ->
-              Json.Obj
-                [
-                  ("threads", Json.Int threads);
-                  ("result", Driver.result_to_json r);
-                ])
-            s.points));
+      ("HoH list vs Harris (35/35)", "1.10-1.50x", gain "fig2" "harris-list" "hoh-list");
+      ("VAS list vs Harris (35/35)", "1.10-1.50x", gain "fig2" "harris-list" "vas-list");
+      ("HoH abtree vs LLX/SCX (35/35)", "up to 2x",
+       gain "fig6" "llx-abtree(4,8)" "hoh-abtree(4,8)");
+      ("HoH abtree vs LLX/SCX (15/15)", "up to 2x",
+       gain "fig7" "llx-abtree(4,8)" "hoh-abtree(4,8)");
+      ("tagged NOrec vs NOrec (vacation)", "up to 1.5x",
+       gain "fig8" "norec" "norec-tagged");
     ]
-
-let export_json file =
-  let figures =
-    List.filter_map
-      (fun name ->
-        match List.assoc_opt name !collected with
-        | None -> None
-        | Some series ->
-            Some (name, Json.List (List.map series_to_json series)))
-      figure_order
   in
-  let spurious =
-    List.map
-      (fun (name, (r : Driver.result)) ->
-        Json.Obj
-          [
-            ("workload", Json.String name);
-            ("validates", Json.Int r.Driver.validates);
-            ("validate_failures", Json.Int r.Driver.validate_failures);
-            ("validate_failures_spurious",
-             Json.Int r.Driver.validate_failures_spurious);
-            ("result", Driver.result_to_json r);
-          ])
-      !spurious_rows
-  in
-  let latency_points =
-    List.map
-      (fun (backend, mult, (r : Serve.result)) ->
-        Json.Obj
-          [
-            ("backend", Json.String backend);
-            ("calibration", Json.Bool (mult = 0.0));
-            ("load_multiple", Json.Float mult);
-            ("result", Serve.result_to_json r);
-          ])
-      !latency_rows
-  in
-  let store_points =
-    List.map
-      (fun ( backend,
-             (m : Store_serve.mix),
-             mult,
-             (r : Serve.result),
-             (st : Store.stats) ) ->
-        Json.Obj
-          [
-            ("backend", Json.String backend);
-            ("mix", Json.String (Store_serve.mix_name m));
-            ("point_pct", Json.Int m.point_pct);
-            ("txn_pct", Json.Int m.txn_pct);
-            ("scan_pct", Json.Int m.scan_pct);
-            ("shards", Json.Int store_shards);
-            ("calibration", Json.Bool (mult = 0.0));
-            ("load_multiple", Json.Float mult);
-            ("result", Serve.result_to_json r);
-            ("store",
-             Json.Obj
+  Report.table ~title:"Peak speedups across the thread sweep"
+    ~columns:[ "comparison"; "paper"; "measured (best over threads)" ]
+    (List.map
+       (fun (name, paper, g) ->
+         [ name; paper; Option.fold ~none:"(skipped)" ~some:(Printf.sprintf "%.2fx") g ])
+       claims);
+  Rows
+    (List.map
+       (fun (name, paper, g) ->
+         Json.Obj
+           (("comparison", Json.String name)
+           :: ("paper_claim", Json.String paper)
+           ::
+           (* Never a bare null (json_check enforces this). *)
+           (match g with
+           | Some g -> [ ("measured_peak_speedup", Json.Float g) ]
+           | None ->
                [
-                 ("point_ops", Json.Int st.point_ops);
-                 ("txn_commits", Json.Int st.txn_commits);
-                 ("txn_aborts", Json.Int st.txn_aborts);
-                 ("txn_sub_ops", Json.Int st.txn_sub_ops);
-                 ("txn_retries", Json.Int st.txn_retries);
-                 ("txn_retries_locked", Json.Int st.txn_retries_locked);
-                 ("txn_retries_version", Json.Int st.txn_retries_version);
-                 ("scans", Json.Int st.scans);
-                 ("scan_collects", Json.Int st.scan_collects);
-                 ("scan_tag_fallbacks", Json.Int st.scan_tag_fallbacks);
-                 ("scan_shard_retries", Json.Int st.scan_shard_retries);
-                 ("shard_ops",
-                  Json.List
-                    (Array.to_list
-                       (Array.map (fun n -> Json.Int n) st.shard_ops)));
-                 ("imbalance", Json.Float (Store.imbalance st));
-               ]);
-          ])
-      !store_rows
+                 ("skipped", Json.Bool true);
+                 ("reason", Json.String "figure not collected in this run selection");
+               ])))
+       (* The committed baselines list the claims last first, and
+          bench_diff compares rows by position. *)
+       (List.rev claims))
+
+(* ------------------------------------------------------------------ *)
+(* The registry: every panel, in run order, with the words that select it
+   (the first is its name) and the top-level JSON section it fills. A
+   panel's run function gets the series of the figures that ran before
+   it. *)
+
+type panel = {
+  names : string list;
+  section : string option;
+  run : (string -> series list option) -> output;
+}
+
+let panels =
+  let fig names ~banner ?throughput_title ~prefix impls =
+    {
+      names;
+      section = Some "figures";
+      run = figure ~banner ?throughput_title ~prefix impls;
+    }
   in
-  let contention_points =
-    List.map
-      (fun (backend, policy, threads, theta, (r : Driver.result)) ->
+  let rows name ?(section = name) run =
+    { names = [ name ]; section = Some section; run }
+  in
+  [
+    fig [ "fig2"; "fig4" ] ~banner:"Figures 2 & 4: linked lists, 35i/35d/30c"
+      ~throughput_title:"Figure 2 — list throughput vs threads (35/35/30)"
+      ~prefix:"Figure 4 — lists (35/35/30)"
+      (lists ~insert_pct:35 ~delete_pct:35);
+    fig [ "fig5" ] ~banner:"Figure 5: linked lists, 15i/15d/70c"
+      ~prefix:"Figure 5 — lists (15/15/70)"
+      (lists ~insert_pct:15 ~delete_pct:15);
+    fig [ "fig6" ] ~banner:"Figure 6: (a,b)-trees, 35i/35d/30c"
+      ~prefix:"Figure 6 — (a,b)-trees (35/35/30)"
+      (trees ~insert_pct:35 ~delete_pct:35);
+    fig [ "fig7" ] ~banner:"Figure 7: (a,b)-trees, 15i/15d/70c"
+      ~prefix:"Figure 7 — (a,b)-trees (15/15/70)"
+      (trees ~insert_pct:15 ~delete_pct:15);
+    fig [ "fig8" ] ~banner:"Figure 8: STAMP vacation on NOrec (-n4 -q60 -u90 -r16384)"
+      ~prefix:"Figure 8 — vacation"
+      (List.map vacation_impl [ (module Mt_stm.Norec); (module Mt_stm.Norec_tagged) ]);
+    rows "spurious" spurious;
+    { names = [ "ablation" ]; section = None; run = ablation };
+    rows "latency" latency;
+    rows "store" store;
+    rows "contention" contention;
+    rows "timeline" ~section:"timeseries" timeline;
+    rows "summary" ~section:"headline" summary;
+  ]
+
+(* The schema-v5 document, with its sections in this fixed order whether
+   or not their panels ran ("figures" is keyed by panel name, every other
+   section concatenates its panels' rows). Extend, don't reorder or
+   rename: bench_diff treats a missing baseline key as a structural
+   failure. *)
+let document ran =
+  let of_section key =
+    List.filter_map
+      (fun (p, out) ->
+        if p.section <> Some key then None
+        else
+          Some
+            ( List.hd p.names,
+              match out with Series s -> List.map series_to_json s | Rows rows -> rows ))
+      ran
+  in
+  Bench_doc.make ~generator:"bench/main.exe"
+    (("quick", Json.Bool !quick)
+    :: ("figures",
         Json.Obj
-          [
-            ("backend", Json.String backend);
-            ("policy", Json.String policy);
-            ("threads", Json.Int threads);
-            ("theta", Json.Float theta);
-            ("result", Driver.result_to_json r);
-            ( "cm",
-              Json.Obj
-                [
-                  ("waits", Json.Int r.Driver.stats.Stats.cm_waits);
-                  ("wait_cycles", Json.Int r.Driver.stats.Stats.cm_wait_cycles);
-                ] );
-          ])
-      !contention_rows
-  in
-  let headline =
-    List.map
-      (fun (name, paper, measured) ->
-        Json.Obj
-          ([
-             ("comparison", Json.String name);
-             ("paper_claim", Json.String paper);
-           ]
-          @
-          (* Never a bare null: a figure missing from this run selection is
-             an explicit skip with a reason (json_check enforces this at
-             schema v3). *)
-          match measured with
-          | Some g -> [ ("measured_peak_speedup", Json.Float g) ]
-          | None ->
-              [
-                ("skipped", Json.Bool true);
-                ("reason",
-                 Json.String "figure not collected in this run selection");
-              ]))
-      !headline_rows
-  in
-  let note_fields =
-    match !notes with
-    | [] -> []
-    | kvs ->
-        [
-          ("notes",
-           Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) kvs));
-        ]
-  in
-  let doc =
-    Json.Obj
-      ([
-         ("schema_version", Json.Int 5);
-         ("generator", Json.String "memory-tagging-sim bench/main.exe");
-         ("quick", Json.Bool !quick);
-         ("figures", Json.Obj figures);
-         ("spurious", Json.List spurious);
-         ("headline", Json.List headline);
-         ("latency", Json.List latency_points);
-         ("store", Json.List store_points);
-         ("contention", Json.List contention_points);
-         ("timeseries", Json.List !timeline_rows);
-       ]
-      @ note_fields)
-  in
-  Json.to_file file doc;
-  Printf.printf "\nWrote benchmark JSON to %s\n" file
+          (List.map (fun (name, js) -> (name, Json.List js)) (of_section "figures")))
+    :: List.map
+         (fun key -> (key, Json.List (List.concat_map snd (of_section key))))
+         [ "spurious"; "headline"; "latency"; "store"; "contention"; "timeseries" ])
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  (* Peel the valued options off the figure-selection words. *)
-  let rec split_opts json acc = function
-    | "--json" :: file :: rest -> split_opts (Some file) acc rest
+  let rec parse json words = function
+    | "--json" :: file :: rest -> parse (Some file) words rest
     | "--json" :: [] -> failwith "bench: --json requires a file argument"
     | "--jobs" :: n :: rest -> (
         match int_of_string_opt n with
         | Some n when n >= 0 ->
             jobs := n;
-            split_opts json acc rest
+            parse json words rest
         | _ -> failwith "bench: --jobs requires a non-negative integer")
     | "--jobs" :: [] -> failwith "bench: --jobs requires an integer argument"
-    | "--note" :: kv :: rest -> (
-        match String.index_opt kv '=' with
-        | Some i ->
-            notes :=
-              !notes
-              @ [
-                  ( String.sub kv 0 i,
-                    String.sub kv (i + 1) (String.length kv - i - 1) );
-                ];
-            split_opts json acc rest
-        | None -> failwith "bench: --note requires a key=value argument")
-    | "--note" :: [] -> failwith "bench: --note requires a key=value argument"
-    | a :: rest -> split_opts json (a :: acc) rest
-    | [] -> (json, List.rev acc)
+    | w :: rest -> parse json (w :: words) rest
+    | [] -> (json, List.rev words)
   in
-  let json_file, args = split_opts None [] args in
-  if List.mem "quick" args then quick := true;
-  let args = List.filter (fun a -> a <> "quick") args in
-  let all = args = [] in
-  let want name = all || List.mem name args in
+  let json_file, words = parse None [] (List.tl (Array.to_list Sys.argv)) in
+  quick := List.mem "quick" words;
+  let words = List.filter (fun w -> w <> "quick") words in
+  let known = List.concat_map (fun p -> p.names) panels in
+  (match List.filter (fun w -> not (List.mem w known)) words with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf
+        "bench: not a panel or option: %s\nvalid words: %s quick --jobs N --json FILE\n"
+        (String.concat ", " unknown) (String.concat " " known);
+      exit 2);
   let t0 = Unix.gettimeofday () in
-  if want "fig2" || want "fig4" then fig2_fig4 ();
-  if want "fig5" then fig5 ();
-  if want "fig6" then fig6 ();
-  if want "fig7" then fig7 ();
-  if want "fig8" then fig8 ();
-  if want "spurious" then spurious ();
-  if want "ablation" then ablation ();
-  if want "latency" then latency ();
-  if want "store" then store ();
-  if want "contention" then contention ();
-  if want "timeline" then timeline ();
-  if want "speed" then speed ();
-  if want "micro" then micro ();
-  if want "summary" then summary ();
-  Option.iter export_json json_file;
-  Printf.printf "\nTotal bench wall time: %.1f s\n" (Unix.gettimeofday () -. t0)
+  let ran =
+    List.fold_left
+      (fun ran p ->
+        if words <> [] && not (List.exists (fun n -> List.mem n words) p.names) then ran
+        else
+          let series_of name =
+            List.find_map
+              (fun (p, out) ->
+                match out with
+                | Series s when List.hd p.names = name -> Some s
+                | _ -> None)
+              ran
+          in
+          ran @ [ (p, p.run series_of) ])
+      [] panels
+  in
+  Option.iter
+    (fun file ->
+      print_newline ();
+      Bench_doc.write file (document ran))
+    json_file;
+  Printf.eprintf "Total bench wall time: %.1f s\n" (Unix.gettimeofday () -. t0)

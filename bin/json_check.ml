@@ -1,34 +1,32 @@
 (* Minimal JSON validator for CI: parses each file argument with the
-   strict Mt_obs.Json parser and optionally asserts a few schema
-   invariants.
+   strict Mt_obs.Json parser and optionally asserts the schema.
 
    Usage:  json_check [--bench|--trace] FILE...
 
    --bench  additionally requires a top-level object with an integer
-            "schema_version" field of at least 5 — older emitters must be
-            regenerated, not re-validated. Every store point (any object
-            carrying both "backend" and "mix") must carry integer mix
-            percentages summing to 100, a "result" object and a "store"
-            counters object (txn commit/abort, per-cause retry split,
-            scan validation, per-shard routing); every time-series window
-            a "store" and a "cm" panel; and every contention point (any
-            object carrying both "policy" and "theta") a "result" object
-            plus a "cm" object with non-negative integer waits and
-            wait_cycles.
-            Inherited from schema_version >= 2: every
-            benchmark point (any object carrying both "impl" and "ops")
-            must also carry a fully self-describing "spec" object
-            (key_range, init_fill, insert_pct, delete_pct, threads,
-            warmup_cycles, measure_cycles, seed), and every service point
-            (any object carrying both "backend" and "goodput_per_kcycle")
-            a "serve" configuration object. For schema_version >= 3 the
-            document must contain no bare nulls (a skipped measurement is
-            an explicit {"skipped": true, "reason": ...}), every headline
-            row (any object carrying "comparison") must carry either a
-            numeric "measured_peak_speedup" or that skip marker, and
-            every time-series object (any object carrying "windows")
-            must be a full Series export (window geometry, marks, the
-            per-window panels, a latency summary).
+            "schema_version" of at least Mt_workload.Bench_doc's (5):
+            older emitters must be regenerated, not re-validated. The
+            document may contain no bare nulls (a skipped measurement is
+            an explicit {"skipped": true, "reason": ...}), and every
+            object is checked against the point shapes whose marker keys
+            it carries:
+            - benchmark point ("impl" and "ops"): a self-describing
+              "spec" object (key_range, init_fill, insert_pct,
+              delete_pct, threads, warmup_cycles, measure_cycles, seed);
+            - service point ("backend" and "goodput_per_kcycle"): a
+              "serve" configuration object;
+            - store point ("backend" and "mix"): integer mix percentages
+              summing to 100, a "result" object and a "store" counters
+              object (txn commit/abort, per-cause retry split, scan
+              validation, per-shard routing);
+            - contention point ("policy" and "theta"): a "result" object
+              and a "cm" object with non-negative integer waits and
+              wait_cycles;
+            - headline row ("comparison"): a numeric
+              "measured_peak_speedup" or the skip marker;
+            - time-series object ("windows"): a full Series export
+              (window geometry, marks, every per-window panel including
+              "store" and "cm", a latency summary).
    --trace  additionally requires a "traceEvents" array where every
             element has "ph", "ts" and "pid" fields (the Chrome
             trace-event contract Perfetto relies on). *)
@@ -74,142 +72,99 @@ let store_stat_fields =
     "scan_tag_fallbacks"; "scan_shard_retries"; "shard_ops"; "imbalance";
   ]
 
-(* Walk the whole document: any object that looks like a benchmark point
-   (has both "impl" and "ops") must be self-describing, likewise any
-   service point (has both "backend" and "goodput_per_kcycle"). At
-   schema v3, additionally: no bare nulls anywhere, headline rows carry
-   a measurement or an explicit skip, and Series exports are complete. *)
-let rec check_points ?(v3 = false) ?(v4 = false) ?(v5 = false) path j =
-  (if v3 then match j with
-   | Json.Null -> fail "%s: bare null (schema v3 wants explicit skips)" path
-   | _ -> ());
+let require path what obj fields =
+  List.iter
+    (fun f -> if Json.member f obj = None then fail "%s: %s lacks %S" path what f)
+    fields
+
+let check_store_point path j =
+  (match
+     (Json.member "point_pct" j, Json.member "txn_pct" j, Json.member "scan_pct" j)
+   with
+  | Some (Json.Int p), Some (Json.Int t), Some (Json.Int s) when p + t + s = 100 -> ()
+  | _ -> fail "%s: store point mix percentages must be integers summing to 100" path);
+  (match Json.member "result" j with
+  | Some (Json.Obj _) -> ()
+  | _ -> fail "%s: store point lacks a \"result\" object" path);
+  match Json.member "store" j with
+  | Some (Json.Obj _ as st) -> require path "store point counters" st store_stat_fields
+  | _ -> fail "%s: store point lacks a \"store\" counters object" path
+
+let check_contention_point path j =
+  (match Json.member "result" j with
+  | Some (Json.Obj _) -> ()
+  | _ -> fail "%s: contention point lacks a \"result\" object" path);
+  match Json.member "cm" j with
+  | Some (Json.Obj _ as cm) ->
+      List.iter
+        (fun f ->
+          match Json.member f cm with
+          | Some (Json.Int n) when n >= 0 -> ()
+          | _ -> fail "%s: contention point cm.%s must be a non-negative integer" path f)
+        [ "waits"; "wait_cycles" ]
+  | _ -> fail "%s: contention point lacks a \"cm\" object" path
+
+let check_headline_row path j =
+  match (Json.member "measured_peak_speedup" j, Json.member "skipped" j) with
+  | Some (Json.Float _ | Json.Int _), _ -> ()
+  | _, Some (Json.Bool true) -> (
+      match Json.member "reason" j with
+      | Some (Json.String _) -> ()
+      | _ -> fail "%s: skipped headline row lacks a \"reason\"" path)
+  | _ ->
+      fail "%s: headline row needs a numeric measured_peak_speedup or skipped:true" path
+
+let check_series path j ws =
+  require path "time-series object" j series_fields;
+  (match Json.member "window_cycles" j with
+  | Some (Json.Int w) when w > 0 -> ()
+  | _ -> fail "%s: window_cycles must be a positive integer" path);
+  List.iteri (fun i w -> require path (Printf.sprintf "windows[%d]" i) w window_fields) ws
+
+(* Walk the whole document. No bare nulls anywhere (a skipped measurement
+   is an explicit {"skipped": true, "reason": ...}); every object is
+   checked against each point shape it carries the marker keys of. *)
+let rec check_points path j =
   match j with
+  | Json.Null -> fail "%s: bare null (a skipped measurement must be explicit)" path
   | Json.Obj fields ->
-      if v4 then begin
-        match (Json.member "backend" j, Json.member "mix" j) with
-        | Some (Json.String _), Some (Json.String _) ->
-            (match
-               ( Json.member "point_pct" j,
-                 Json.member "txn_pct" j,
-                 Json.member "scan_pct" j )
-             with
-            | Some (Json.Int p), Some (Json.Int t), Some (Json.Int s)
-              when p + t + s = 100 ->
-                ()
-            | _ ->
-                fail
-                  "%s: store point mix percentages must be integers summing \
-                   to 100"
-                  path);
-            (match Json.member "result" j with
-            | Some (Json.Obj _) -> ()
-            | _ -> fail "%s: store point lacks a \"result\" object" path);
-            (match Json.member "store" j with
-            | Some (Json.Obj _ as st) ->
-                List.iter
-                  (fun f ->
-                    if Json.member f st = None then
-                      fail "%s: store point counters lack %S" path f)
-                  store_stat_fields
-            | _ -> fail "%s: store point lacks a \"store\" counters object" path)
-        | _ -> ()
-      end;
-      if v5 then begin
-        match (Json.member "policy" j, Json.member "theta" j) with
-        | Some (Json.String _), Some (Json.Float _ | Json.Int _) ->
-            (match Json.member "result" j with
-            | Some (Json.Obj _) -> ()
-            | _ -> fail "%s: contention point lacks a \"result\" object" path);
-            (match Json.member "cm" j with
-            | Some (Json.Obj _ as cm) ->
-                List.iter
-                  (fun f ->
-                    match Json.member f cm with
-                    | Some (Json.Int n) when n >= 0 -> ()
-                    | _ ->
-                        fail
-                          "%s: contention point cm.%s must be a non-negative \
-                           integer"
-                          path f)
-                  [ "waits"; "wait_cycles" ]
-            | _ -> fail "%s: contention point lacks a \"cm\" object" path)
-        | _ -> ()
-      end;
-      if v3 then begin
-        if Json.member "comparison" j <> None then begin
-          match (Json.member "measured_peak_speedup" j, Json.member "skipped" j)
-          with
-          | Some (Json.Float _ | Json.Int _), _ -> ()
-          | _, Some (Json.Bool true) ->
-              if
-                match Json.member "reason" j with
-                | Some (Json.String _) -> true
-                | _ -> false
-              then ()
-              else fail "%s: skipped headline row lacks a \"reason\"" path
-          | _ ->
-              fail
-                "%s: headline row needs a numeric measured_peak_speedup or \
-                 skipped:true"
-                path
-        end;
-        match Json.member "windows" j with
-        | Some (Json.List ws) ->
-            List.iter
-              (fun f ->
-                if Json.member f j = None then
-                  fail "%s: time-series object lacks %S" path f)
-              series_fields;
-            (match Json.member "window_cycles" j with
-            | Some (Json.Int w) when w > 0 -> ()
-            | _ -> fail "%s: window_cycles must be a positive integer" path);
-            List.iteri
-              (fun i w ->
-                List.iter
-                  (fun f ->
-                    if Json.member f w = None then
-                      fail "%s: windows[%d] lacks %S" path i f)
-                  window_fields)
-              ws
-        | Some _ -> fail "%s: \"windows\" must be a list" path
-        | None -> ()
-      end;
-      if Json.member "impl" j <> None && Json.member "ops" j <> None then begin
+      let has k = Json.member k j <> None in
+      (match (Json.member "backend" j, Json.member "mix" j) with
+      | Some (Json.String _), Some (Json.String _) -> check_store_point path j
+      | _ -> ());
+      (match (Json.member "policy" j, Json.member "theta" j) with
+      | Some (Json.String _), Some (Json.Float _ | Json.Int _) ->
+          check_contention_point path j
+      | _ -> ());
+      if has "comparison" then check_headline_row path j;
+      (match Json.member "windows" j with
+      | Some (Json.List ws) -> check_series path j ws
+      | Some _ -> fail "%s: \"windows\" must be a list" path
+      | None -> ());
+      if has "impl" && has "ops" then begin
         match Json.member "spec" j with
         | Some (Json.Obj _ as spec) ->
-            List.iter
-              (fun f ->
-                if Json.member f spec = None then
-                  fail "%s: benchmark point spec lacks %S" path f)
-              spec_fields
+            require path "benchmark point spec" spec spec_fields
         | _ -> fail "%s: benchmark point lacks a \"spec\" object" path
       end;
-      if
-        Json.member "backend" j <> None
-        && Json.member "goodput_per_kcycle" j <> None
-      then begin
+      if has "backend" && has "goodput_per_kcycle" then begin
         match Json.member "serve" j with
         | Some (Json.Obj _ as serve) ->
-            List.iter
-              (fun f ->
-                if Json.member f serve = None then
-                  fail "%s: service point serve config lacks %S" path f)
-              serve_fields
+            require path "service point serve config" serve serve_fields
         | _ -> fail "%s: service point lacks a \"serve\" object" path
       end;
-      List.iter (fun (_, v) -> check_points ~v3 ~v4 ~v5 path v) fields
-  | Json.List l -> List.iter (check_points ~v3 ~v4 ~v5 path) l
+      List.iter (fun (_, v) -> check_points path v) fields
+  | Json.List l -> List.iter (check_points path) l
   | _ -> ()
 
 let check_bench path j =
   match Json.member "schema_version" j with
-  | Some (Json.Int v) ->
-      if v < 5 then
-        fail
-          "%s: schema_version %d rejected (v5 required — regenerate with a \
-           current bench)"
-          path v
-      else check_points ~v3:true ~v4:true ~v5:true path j
+  | Some (Json.Int v) when v < Mt_workload.Bench_doc.schema_version ->
+      fail
+        "%s: schema_version %d rejected (v%d required — regenerate with a current \
+         bench)"
+        path v Mt_workload.Bench_doc.schema_version
+  | Some (Json.Int _) -> check_points path j
   | _ -> fail "%s: missing integer schema_version" path
 
 let check_trace path j =

@@ -7,7 +7,8 @@
    pulse, with quiet windows on both sides), request conservation
    between the serve layer's result counters and the per-window series,
    Perfetto flow events for per-request causal chains, hot-line profiler
-   determinism, and the Bench_compare tolerance-band engine. *)
+   determinism, and the Bench_compare tolerance-band engine, including
+   the must-fail check on the committed BENCH baselines. *)
 
 module Obs = Mt_obs.Obs
 module Series = Mt_obs.Series
@@ -314,6 +315,50 @@ let test_compare_band_override () =
   in
   check_int "zero band regresses" 1 (List.length r.BC.regressed)
 
+(* The committed baselines' must-fail check: each BENCH document against
+   itself with one watched metric halved on its first point must fail.
+   The leaves are the ones the sentinel sweeps regenerate (BENCH_4's
+   timeline, BENCH_6's store and BENCH_7's contention panels). dune
+   copies the baselines one level above the test executable. *)
+let test_compare_halved_baselines () =
+  let read file =
+    let dir = Filename.dirname Sys.executable_name in
+    let ic = open_in_bin (Filename.concat dir ("../" ^ file)) in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Json.of_string s
+  in
+  let update key f = function
+    | Json.Obj kvs ->
+        Json.Obj (List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) kvs)
+    | _ -> Alcotest.failf "no object around %S" key
+  in
+  let first f = function
+    | Json.List (x :: rest) -> Json.List (f x :: rest)
+    | _ -> Alcotest.fail "empty panel"
+  in
+  let halve = function
+    | Json.Float x -> Json.Float (x /. 2.0)
+    | Json.Int n -> Json.Float (float_of_int n /. 2.0)
+    | _ -> Alcotest.fail "metric is not a number"
+  in
+  List.iter
+    (fun (file, panel, metric) ->
+      let baseline = read file in
+      check_bool (file ^ " self-compare ok") true
+        (BC.ok (BC.compare_docs ~baseline ~current:baseline ()));
+      let current =
+        update panel (first (update "result" (update metric halve))) baseline
+      in
+      let r = BC.compare_docs ~baseline ~current () in
+      check_bool (file ^ " halved " ^ metric ^ " fails") false (BC.ok r);
+      check_int (file ^ " one regression") 1 (List.length r.BC.regressed))
+    [
+      ("BENCH_4.json", "timeseries", "throughput_per_kcycle");
+      ("BENCH_6.json", "store", "goodput_per_kcycle");
+      ("BENCH_7.json", "contention", "throughput_per_kcycle");
+    ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -360,5 +405,7 @@ let () =
           Alcotest.test_case "structural mismatches" `Quick
             test_compare_structural;
           Alcotest.test_case "band override" `Quick test_compare_band_override;
+          Alcotest.test_case "halved baselines fail" `Quick
+            test_compare_halved_baselines;
         ] );
     ]
