@@ -228,7 +228,9 @@ let spurious _ =
     pmap
       (fun (name, m, range) -> (name, Driver.run_set m (spec range)))
       [
-        ("hoh-list r512", (module Mt_list.Hoh_list : Mt_list.Set_intf.SET), list_range);
+        ( Printf.sprintf "hoh-list r%d" list_range,
+          (module Mt_list.Hoh_list : Mt_list.Set_intf.SET),
+          list_range );
         ("hoh-abtree r8192", (module Abtree_hoh), tree_range);
         (* A deliberately oversized structure shows capacity evictions rising. *)
         ("hoh-abtree r65536", (module Abtree_hoh), 65536);
@@ -673,7 +675,7 @@ let contention _ =
               (fun threads ->
                 List.map (fun theta -> (backend, cm, threads, theta)) thetas)
               threads_list)
-          [ Cm.immediate; Cm.backoff (); Cm.politeness (); Cm.adaptive () ])
+          [ Cm.immediate; Cm.backoff (); Cm.politeness () ])
       contention_backends
   in
   let rows =

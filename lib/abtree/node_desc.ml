@@ -8,11 +8,6 @@ let child_index d k =
   let rec go i = if i >= n then n else if k < d.keys.(i) then i else go (i + 1) in
   go 0
 
-let find_ptr d addr =
-  let n = Array.length d.ptrs in
-  let rec go i = if i >= n then None else if d.ptrs.(i) = addr then Some i else go (i + 1) in
-  go 0
-
 let leaf_contains d k = Array.exists (fun k' -> k' = k) d.keys
 
 let sorted_insert keys k =
@@ -98,12 +93,6 @@ let distribute_pair ~sep l r =
   let merged = merge_pair ~sep l r in
   split merged
 
-let replace_child d ix ~addr =
-  if d.leaf then invalid_arg "Node_desc.replace_child: leaf";
-  let ptrs = Array.copy d.ptrs in
-  ptrs.(ix) <- addr;
-  { d with ptrs }
-
 let replace_pair_with_one d ix ~addr =
   if d.leaf || ix + 1 >= Array.length d.ptrs then
     invalid_arg "Node_desc.replace_pair_with_one";
@@ -127,20 +116,6 @@ let update_pair d ix ~left ~right ~sep =
   ptrs.(ix) <- left;
   ptrs.(ix + 1) <- right;
   { d with keys; ptrs }
-
-let well_formed d =
-  let sorted a =
-    let ok = ref true in
-    for i = 0 to Array.length a - 2 do
-      if a.(i) >= a.(i + 1) then ok := false
-    done;
-    !ok
-  in
-  (d.weight = 0 || d.weight = 1)
-  && sorted d.keys
-  &&
-  if d.leaf then Array.length d.ptrs = 0
-  else Array.length d.ptrs = Array.length d.keys + 1
 
 let pp ppf d =
   Format.fprintf ppf "{%s w%d keys=[%s] %d ptrs}"

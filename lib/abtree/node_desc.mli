@@ -25,9 +25,6 @@ val size : t -> int
 (** [child_index d k] — which child of internal node [d] covers key [k]. *)
 val child_index : t -> int -> int
 
-(** [find_ptr d addr] — index of child [addr] in [d.ptrs], if present. *)
-val find_ptr : t -> int -> int option
-
 val leaf_contains : t -> int -> bool
 
 (** [leaf_insert d k] — [d] with [k] added (sorted). [k] must be absent. *)
@@ -59,9 +56,6 @@ val merge_pair : sep:int -> t -> t -> t
     [(l', r', sep')]. *)
 val distribute_pair : sep:int -> t -> t -> t * t * int
 
-(** [replace_child d ix ~addr] — [d] with child [ix] repointed. *)
-val replace_child : t -> int -> addr:int -> t
-
 (** [replace_pair_with_one d ix ~addr] — children [ix] and [ix+1] (and the
     separator between them) replaced by the single child [addr]. *)
 val replace_pair_with_one : t -> int -> addr:int -> t
@@ -69,10 +63,6 @@ val replace_pair_with_one : t -> int -> addr:int -> t
 (** [update_pair d ix ~left ~right ~sep] — children [ix], [ix+1] repointed
     to [left]/[right] with a new separator. *)
 val update_pair : t -> int -> left:int -> right:int -> sep:int -> t
-
-(** All keys of a leaf-oriented subtree walk live in the leaves; this
-    checks a single description's well-formedness (sorted keys, arity). *)
-val well_formed : t -> bool
 
 val pp : Format.formatter -> t -> unit
 

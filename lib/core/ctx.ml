@@ -103,16 +103,13 @@ let tag_count t = Machine.tag_count t.machine ~core:t.core
 (* ------------------------------------------------------------------ *)
 (* Contention management (DESIGN §14). *)
 
-let cm t = t.cm
-let cm_immediate t = Mt_cm.Cm.is_immediate t.cm
-
 (* Charge a policy-imposed wait through the ordinary stall path. Under
    [Immediate] the policy returns 0 without touching any state, so this
-   is observationally a no-op — no stall, no counters, no event — and
-   runs under the default policy stay byte-identical to a tree that
-   retries unconditionally. *)
+   is observationally a no-op — no stall, no counters, no event. Sites
+   with their own algorithmic backoff charge it with [work] first; the
+   policy's wait comes on top. *)
 let cm_wait ?(site = 0) t ~attempt =
-  let w = Mt_cm.Cm.wait t.cm ~site ~attempt ~now:(Runtime.clock t.rt) in
+  let w = Mt_cm.Cm.wait t.cm ~attempt ~now:(Runtime.clock t.rt) in
   if w > 0 then begin
     t.stats.cm_waits <- t.stats.cm_waits + 1;
     t.stats.cm_wait_cycles <- t.stats.cm_wait_cycles + w;
@@ -122,14 +119,6 @@ let cm_wait ?(site = 0) t ~attempt =
          (Mt_obs.Obs.Cm_wait { site; cycles = w; attempt }));
     charge t w
   end
-
-(* For retry sites that already carried a hand-rolled backoff (NOrec's
-   randomized doubling, Store's capped shift): [default] IS today's
-   behavior and runs — including its PRNG draws — only under
-   [Immediate]; any other policy computes the wait itself and the
-   default (and its draws) is skipped entirely. *)
-let cm_wait_default ?(site = 0) t ~attempt ~default =
-  if cm_immediate t then work t (default ()) else cm_wait ~site t ~attempt
 
 exception Restart
 

@@ -80,25 +80,14 @@ val tag_count : t -> int
     waits, draws no randomness and keeps no state, so runs under it are
     byte-identical to the pre-policy tree. *)
 
-(** This core's policy instance. *)
-val cm : t -> Mt_cm.Cm.t
-
-(** True iff the policy is [immediate] (the determinism baseline). *)
-val cm_immediate : t -> bool
-
 (** [cm_wait ?site t ~attempt] asks the policy for a wait before retry
     number [attempt] (0-based) against the contended location [site],
     then charges it through the ordinary stall path, counts it in
     {!Mt_sim.Stats} and emits {!Mt_obs.Obs.Cm_wait}. A zero wait (always,
-    under [immediate]) does nothing at all. *)
+    under [immediate]) does nothing at all. Retry sites whose algorithm
+    carries its own backoff charge it with {!work} and then call this, so
+    a policy's wait adds to the site's backoff. *)
 val cm_wait : ?site:addr -> t -> attempt:int -> unit
-
-(** [cm_wait_default ?site t ~attempt ~default] — for retry sites that
-    already carried a hand-rolled backoff: under [immediate] charges
-    [default ()] cycles (today's behavior exactly, including any PRNG
-    draws the closure makes); under any other policy skips the default
-    and waits per {!cm_wait}. *)
-val cm_wait_default : ?site:addr -> t -> attempt:int -> default:(unit -> int) -> unit
 
 (** Raised by optimistic bodies run under {!with_restarts} to abandon
     the attempt. *)

@@ -30,5 +30,3 @@ val of_string : string -> t
 (** [member key json] — the field's value if [json] is an object that has
     it. *)
 val member : string -> t -> t option
-
-val to_list_opt : t -> t list option

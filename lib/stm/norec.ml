@@ -124,13 +124,13 @@ let atomically ctx stm body =
         result
     | exception Abort ->
         stm.aborts <- stm.aborts + 1;
-        (* Historical site default: randomized doubling backoff (prevents
-           lock-step retry livelock), 16 * 2^n capped at 2048. Runs only
-           under the [immediate] policy; otherwise the contention layer
-           computes the wait. *)
-        Ctx.cm_wait_default ~site:stm.seqlock ctx ~attempt:n
-          ~default:(fun () ->
-            Mt_sim.Prng.int (Ctx.prng ctx) (min 2048 (16 lsl min n 7)));
+        (* NOrec's own randomized doubling backoff (prevents lock-step
+           retry livelock), 16 * 2^n capped at 2048; a contention policy's
+           wait comes on top. *)
+        Ctx.work ctx
+          (Mt_sim.Prng.int (Ctx.prng ctx)
+             (Mt_cm.Cm.capped_backoff ~base:16 ~cap:2048 ~attempt:n));
+        Ctx.cm_wait ~site:stm.seqlock ctx ~attempt:n;
         Stm_log.reset log;
         attempt (n + 1)
     | exception e ->

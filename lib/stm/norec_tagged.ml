@@ -196,11 +196,11 @@ let atomically ctx stm body =
     | exception Abort ->
         Ctx.clear_tag_set ctx;
         stm.aborts <- stm.aborts + 1;
-        (* Historical site default (randomized doubling backoff); replaced
-           by the contention policy when one is active. *)
-        Ctx.cm_wait_default ~site:stm.seqlock ctx ~attempt:n
-          ~default:(fun () ->
-            Mt_sim.Prng.int (Ctx.prng ctx) (min 2048 (16 lsl min n 7)));
+        (* NOrec's randomized doubling backoff, then the policy's wait. *)
+        Ctx.work ctx
+          (Mt_sim.Prng.int (Ctx.prng ctx)
+             (Mt_cm.Cm.capped_backoff ~base:16 ~cap:2048 ~attempt:n));
+        Ctx.cm_wait ~site:stm.seqlock ctx ~attempt:n;
         Stm_log.reset log;
         attempt (n + 1)
     | exception e ->

@@ -183,14 +183,13 @@ let check_key key_space k =
   if k < 0 || k >= key_space then invalid_arg "Store: key out of range"
 
 let locked v = v land 1 = 1
-let backoff_cycles attempt = min 512 (16 lsl min attempt 5)
 
-(* The historical capped-shift backoff is each retry site's [immediate]
-   default; a non-immediate contention policy replaces it (keyed on the
-   shard's version word as the contended location). *)
+(* Every shard retry charges the store's own capped backoff, then the
+   contention policy's wait (keyed on the shard's version word as the
+   contended location). *)
 let retry_wait ctx ~site ~attempt =
-  Ctx.cm_wait_default ~site ctx ~attempt ~default:(fun () ->
-      backoff_cycles attempt)
+  Ctx.work ctx (Mt_cm.Cm.capped_backoff ~base:16 ~cap:512 ~attempt);
+  Ctx.cm_wait ~site ctx ~attempt
 
 (* Spin until the shard's version is even and our CAS takes it odd.
    Returns the locked (odd) version. Writers always release, so this
@@ -454,8 +453,6 @@ let scan ctx (T s) ~lo ~hi =
   round ();
   s.c.c_scans <- s.c.c_scans + 1;
   List.sort compare (List.concat_map (fun sh -> res.(sh)) relevant)
-
-let snapshot_all ctx (T s as t) = scan ctx t ~lo:0 ~hi:(s.key_space - 1)
 
 let to_list_unsafe machine (T s) =
   let module B = (val s.backend) in

@@ -91,9 +91,6 @@ val txn : Mt_core.Ctx.t -> t -> (int * op) list -> outcome
     order. Retries only the shards whose version moved. *)
 val scan : Mt_core.Ctx.t -> t -> lo:int -> hi:int -> int list
 
-(** Whole-store snapshot: [scan] over the full key space. *)
-val snapshot_all : Mt_core.Ctx.t -> t -> int list
-
 val stats : t -> stats
 val reset_stats : t -> unit
 

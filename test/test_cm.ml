@@ -1,10 +1,10 @@
 (* Tests for the contention-management layer (lib/cm) and its Ctx/Harness
    threading: capped-backoff overflow arithmetic (the old Server clamp's
    replacement), per-policy wait semantics (backoff jitter only from the
-   supplied stream, politeness as a pure function of core and time,
-   adaptive escalation and decay), the Immediate-is-a-no-op contract
-   (qcheck + a full-run equality against a policy that never fires), and
-   the house invariants (bit-identical reruns per policy, tracing
+   supplied stream, politeness as a pure function of core and time),
+   the Immediate-is-a-no-op contract (qcheck + full-run equality against
+   a policy that never fires, on the list, STM and store retry sites),
+   and the house invariants (bit-identical reruns per policy, tracing
    non-perturbing, policy waits visible in Stats). *)
 
 open Mt_sim
@@ -13,6 +13,7 @@ module Cm = Mt_cm.Cm
 module Obs = Mt_obs.Obs
 module Spec = Mt_workload.Spec
 module Driver = Mt_workload.Driver
+module Store = Mt_store.Store
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -77,7 +78,7 @@ let prop_immediate_noop =
     QCheck.(triple (int_bound (1 lsl 30)) (int_bound 10_000) (int_bound (1 lsl 40)))
     (fun (site, attempt, now) ->
       let t = Cm.make Cm.immediate ~core:(site land 7) in
-      Cm.wait t ~site ~attempt ~now = 0)
+      Cm.wait t ~attempt ~now = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Backoff: jitter comes only from the supplied stream; no stream means
@@ -87,7 +88,7 @@ let test_backoff_jitter () =
   let spec = Cm.backoff ~base:32 ~cap:4096 () in
   let waits seed =
     let t = Cm.make ~prng:(Prng.create ~seed) spec ~core:0 in
-    List.init 11 (fun a -> Cm.wait t ~site:1 ~attempt:a ~now:0)
+    List.init 11 (fun a -> Cm.wait t ~attempt:a ~now:0)
   in
   check_bool "same seed, same waits" true (waits 7 = waits 7);
   check_bool "different seed, different waits" true (waits 7 <> waits 8);
@@ -104,7 +105,7 @@ let test_backoff_jitter () =
       check_int
         (Printf.sprintf "no-prng attempt %d" a)
         (Cm.capped_backoff ~base:32 ~cap:4096 ~attempt:a)
-        (Cm.wait t ~site:1 ~attempt:a ~now:0))
+        (Cm.wait t ~attempt:a ~now:0))
     (List.init 11 Fun.id)
 
 (* ------------------------------------------------------------------ *)
@@ -114,7 +115,7 @@ let test_backoff_jitter () =
 let test_politeness_slots () =
   let spec = Cm.politeness ~slot:10 ~slots:4 () in
   let w ~core ~now =
-    Cm.wait (Cm.make spec ~core) ~site:0 ~attempt:0 ~now
+    Cm.wait (Cm.make spec ~core) ~attempt:0 ~now
   in
   (* core 0 owns [0,10) of every 40-cycle round. *)
   check_int "in own slot" 0 (w ~core:0 ~now:5);
@@ -137,45 +138,9 @@ let test_politeness_slots () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Adaptive: immediate below threshold, backoff while warm, politeness
-   when hot; time decay re-earns immediate mode. *)
-
-let test_adaptive_escalation () =
-  let spec =
-    Cm.adaptive ~threshold:3 ~decay_cycles:2048 ~base:32 ~cap:4096 ~slot:192
-      ~slots:8 ()
-  in
-  let t = Cm.make spec ~core:0 in
-  let site = 123 in
-  (* Failures 1..3: still immediate. *)
-  for i = 0 to 2 do
-    check_int (Printf.sprintf "cold failure %d" i) 0
-      (Cm.wait t ~site ~attempt:i ~now:1000)
-  done;
-  (* Failures 4..12: capped backoff (no jitter stream: exact bound). *)
-  for i = 3 to 11 do
-    check_int
-      (Printf.sprintf "warm failure %d" i)
-      (Cm.capped_backoff ~base:32 ~cap:4096 ~attempt:i)
-      (Cm.wait t ~site ~attempt:i ~now:1000)
-  done;
-  (* Failure 13: politeness. period 1536, core 0 owns [0,192);
-     pos 1000 -> wait 536 to the next round. *)
-  check_int "hot failure" 536 (Cm.wait t ~site ~attempt:12 ~now:1000);
-  (* Four decay windows idle halve the counter 13 -> 0: cold again. *)
-  check_int "decayed back to immediate" 0
-    (Cm.wait t ~site ~attempt:0 ~now:(1000 + (4 * 2048)));
-  (* A different site in the (direct-mapped) table starts cold. *)
-  let t2 = Cm.make spec ~core:0 in
-  for i = 0 to 5 do
-    ignore (Cm.wait t2 ~site:7 ~attempt:i ~now:0)
-  done;
-  check_int "other site still cold" 0 (Cm.wait t2 ~site:8 ~attempt:0 ~now:0)
-
-(* ------------------------------------------------------------------ *)
 (* Ctx threading: with_restarts consults the policy once per restart and
-   the waits land in Stats; cm_wait_default runs the site default only
-   under Immediate. *)
+   the waits land in Stats; an STM abort charges NOrec's own backoff as
+   work and the policy's wait on top. *)
 
 let test_with_restarts_stats () =
   let run cm =
@@ -199,26 +164,35 @@ let test_with_restarts_stats () =
   check_int "immediate: no waits" 0 st.Stats.cm_waits;
   check_int "immediate: no cycles" 0 st.Stats.cm_wait_cycles
 
-let test_cm_wait_default () =
-  (* Under Immediate the default closure runs (and its cost is charged
-     as plain work, not as a policy wait). *)
-  let m = machine ~cores:2 () in
-  let (_ : int) =
-    Harness.exec m ~cm:Cm.immediate ~threads:1 (fun ctx ->
-        let t0 = Ctx.now ctx in
-        Ctx.cm_wait_default ctx ~attempt:0 ~default:(fun () -> 100);
-        check_bool "default charged as work" true (Ctx.now ctx - t0 >= 100))
+let test_site_backoff_composes () =
+  let run cm =
+    let m = machine ~cores:2 () in
+    let next_draw = ref 0 in
+    let (_ : int) =
+      Harness.exec m ~cm ~threads:1 (fun ctx ->
+          let module S = Mt_stm.Norec_tagged in
+          let stm = S.create ctx in
+          let aborted = ref false in
+          S.atomically ctx stm (fun _ ->
+              if not !aborted then begin
+                aborted := true;
+                raise Mt_stm.Stm_intf.Abort
+              end);
+          check_int "one abort" 1 (S.aborts stm);
+          next_draw := Prng.int (Ctx.prng ctx) 1_000_000)
+    in
+    (Machine.total_stats m, !next_draw)
   in
-  check_int "not counted as a policy wait" 0
-    (Machine.total_stats m).Stats.cm_waits;
-  (* Under any other policy the default must not even be evaluated. *)
-  let m = machine ~cores:2 () in
-  let (_ : int) =
-    Harness.exec m ~cm:(Cm.politeness ()) ~threads:1 (fun ctx ->
-        Ctx.cm_wait_default ctx ~attempt:0 ~default:(fun () ->
-            Alcotest.fail "site default ran under a non-immediate policy"))
-  in
-  ()
+  let imm, imm_draw = run Cm.immediate in
+  let bo, bo_draw = run (Cm.backoff ~base:32 ~cap:4096 ()) in
+  check_int "immediate: no policy wait" 0 imm.Stats.cm_waits;
+  check_int "backoff: exactly one policy wait" 1 bo.Stats.cm_waits;
+  (* NOrec's backoff drew from the core's stream under both policies and
+     was charged as the same plain work; the policy wait comes on top. *)
+  check_int "site backoff drawn under both" imm_draw bo_draw;
+  check_int "policy wait adds to the site backoff"
+    (imm.Stats.busy_cycles + bo.Stats.cm_wait_cycles)
+    bo.Stats.busy_cycles
 
 (* ------------------------------------------------------------------ *)
 (* House invariants on a small contended workload, per policy. *)
@@ -230,8 +204,7 @@ let spec_small =
 let fingerprint (r : Driver.result) =
   (r.ops, r.duration, r.throughput, r.cas_failures, r.validate_failures, r.stats)
 
-let all_policies =
-  [ Cm.immediate; Cm.backoff (); Cm.politeness (); Cm.adaptive () ]
+let all_policies = [ Cm.immediate; Cm.backoff (); Cm.politeness () ]
 
 let test_policy_rerun_identity () =
   List.iter
@@ -256,18 +229,70 @@ let test_policy_tracing_identity () =
     all_policies
 
 (* A policy that can never fire must reproduce the Immediate run
-   exactly: the per-core operation streams are independent of the
-   policy's private jitter streams, so any difference would mean the
-   harness let the policy perturb the workload itself. *)
-let test_never_firing_policy_is_immediate () =
-  let asleep = Cm.adaptive ~threshold:1_000_000_000 () in
-  let base =
-    fingerprint (Driver.run_set ~cm:Cm.immediate (module Mt_list.Hoh_list) spec_small)
+   exactly, at every kind of retry site: the per-core operation streams
+   are independent of the policy's private jitter streams, and sites with
+   their own backoff (NOrec's aborts, the store's shard retries) charge
+   it under every policy. One politeness slot per round computes a wait
+   of 0 at every instant, yet the harness still hands it a jitter
+   stream. Each point must actually retry, or the comparison is vacuous. *)
+let asleep = Cm.politeness ~slots:1 ()
+
+let contended_spec ~range =
+  Spec.make ~key_range:range ~insert_pct:0 ~delete_pct:0 ~threads:8
+    ~warmup_cycles:2_000 ~measure_cycles:20_000 ()
+
+let vacation_point ~cm =
+  let module S = Mt_stm.Norec_tagged in
+  let module V = Mt_stamp.Vacation.Make (S) in
+  let params = { V.relations = 64; queries = 4; query_pct = 90; user_pct = 80 } in
+  let stm = ref None in
+  let r =
+    Driver.run_custom ~cm ~name:"vacation"
+      ~setup:(fun ctx ->
+        let s = S.create ctx in
+        stm := Some s;
+        (s, V.setup ctx s params))
+      ~op:(fun ctx (s, mgr) -> V.client_op ctx s mgr params)
+      (contended_spec ~range:64)
   in
-  let quiet =
-    fingerprint (Driver.run_set ~cm:asleep (module Mt_list.Hoh_list) spec_small)
+  (r, S.aborts (Option.get !stm))
+
+let store_txn_point ~cm =
+  let key_space = 64 in
+  let backend = Option.get (Mt_store.Backend.by_name "hoh-list") in
+  let store = ref None in
+  let r =
+    Driver.run_custom ~cm ~name:"store-txn"
+      ~setup:(fun ctx ->
+        let st = Store.create backend ctx ~shards:2 ~key_space in
+        store := Some st;
+        st)
+      ~op:(fun ctx st ->
+        let g = Ctx.prng ctx in
+        let a = Prng.int g key_space in
+        let b = Prng.int g key_space in
+        let c = Prng.int g key_space in
+        ignore
+          (Store.txn ctx st
+             [ (a, Store.Insert); (b, Store.Insert); (c, Store.Delete) ]))
+      (contended_spec ~range:key_space)
   in
-  check_bool "never-firing adaptive == immediate" true (base = quiet)
+  (r, (Store.stats (Option.get !store)).Store.txn_retries)
+
+let test_never_firing_policy_matches_immediate () =
+  let list_point ~cm = Driver.run_set ~cm (module Mt_list.Hoh_list) spec_small in
+  check_bool "list: never-firing politeness == immediate" true
+    (fingerprint (list_point ~cm:Cm.immediate)
+    = fingerprint (list_point ~cm:asleep));
+  List.iter
+    (fun (name, point) ->
+      let base, retries = point ~cm:Cm.immediate in
+      let quiet, retries' = point ~cm:asleep in
+      check_bool (name ^ ": retries happen") true (retries > 0);
+      check_int (name ^ ": same retries") retries retries';
+      check_bool (name ^ ": never-firing politeness == immediate") true
+        (fingerprint base = fingerprint quiet))
+    [ ("norec-tagged vacation", vacation_point); ("store-txn", store_txn_point) ]
 
 let () =
   Alcotest.run "cm"
@@ -285,15 +310,13 @@ let () =
             test_backoff_jitter;
           Alcotest.test_case "politeness slot arithmetic" `Quick
             test_politeness_slots;
-          Alcotest.test_case "adaptive escalation and decay" `Quick
-            test_adaptive_escalation;
         ] );
       ( "ctx",
         [
           Alcotest.test_case "with_restarts counts waits" `Quick
             test_with_restarts_stats;
-          Alcotest.test_case "cm_wait_default gating" `Quick
-            test_cm_wait_default;
+          Alcotest.test_case "site backoff plus one policy wait" `Quick
+            test_site_backoff_composes;
         ] );
       ( "invariants",
         [
@@ -302,6 +325,6 @@ let () =
           Alcotest.test_case "tracing non-perturbing per policy" `Quick
             test_policy_tracing_identity;
           Alcotest.test_case "never-firing policy reproduces immediate" `Quick
-            test_never_firing_policy_is_immediate;
+            test_never_firing_policy_matches_immediate;
         ] );
     ]
