@@ -30,6 +30,8 @@ let impls : (string * (module Mt_list.Set_intf.SET)) list =
     ("elided_list", (module Mt_list.Elided_list));
     ("abtree_hoh", (module Abtree_hoh));
     ("abtree_llx", (module Abtree_llx));
+    ("norec_map", (module Mt_stamp.Tx_map.Set (Mt_stm.Norec)));
+    ("norec_tagged_map", (module Mt_stamp.Tx_map.Set (Mt_stm.Norec_tagged)));
     ("buggy_list", (module Mt_check.Buggy_list));
     ("buggy_abtree", (module Mt_check.Buggy_abtree));
   ]
@@ -237,7 +239,7 @@ let () =
       & opt_all string [ "vas_list" ]
       & info [ "s"; "structure" ]
           ~doc:
-            "Structure to fuzz (harris_list|vas_list|hoh_list|elided_list|abtree_hoh|abtree_llx|buggy_list|buggy_abtree); repeatable.")
+            "Structure to fuzz (harris_list|vas_list|hoh_list|elided_list|abtree_hoh|abtree_llx|norec_map|norec_tagged_map|buggy_list|buggy_abtree); repeatable.")
   in
   let all =
     Arg.(value & flag & info [ "a"; "all" ] ~doc:"Fuzz every (correct) structure.")

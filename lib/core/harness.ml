@@ -1,9 +1,15 @@
 open Mt_sim
 
-let exec machine ?(seed = 0x5EED) ?(policy = Runtime.default_policy) ?tick
+module Obs = Mt_obs.Obs
+module Series = Mt_obs.Series
+
+let exec machine ?(seed = 0x5EED) ?(policy = Runtime.default_policy) ?series
     ?(cm = Mt_cm.Cm.immediate) ~threads f =
   if threads <= 0 || threads > Machine.num_cores machine then
     invalid_arg "Harness.exec: bad thread count";
+  let obs = Machine.obs machine in
+  if series <> None && not (Obs.enabled obs) then
+    invalid_arg "Harness.exec: ?series needs a recording obs sink (retain:false ok)";
   let master = Prng.create ~seed in
   (* Jitter streams come from a SEPARATE master so the per-core op
      streams are identical across policies: a policy comparison then
@@ -26,8 +32,25 @@ let exec machine ?(seed = 0x5EED) ?(policy = Runtime.default_policy) ?tick
     in
     Runtime.spawn rt (fun () -> f (Ctx.make machine ~cm ~rt ~core ~prng))
   done;
-  Runtime.run ~policy ~obs:(Machine.obs machine) ?tick rt;
-  Runtime.clock rt
+  (* The series sees this phase only: its counter baseline is the state
+     at entry, its tap and window tick live exactly as long as the run. *)
+  let snap () = Stats.series_counters (Machine.total_stats machine) in
+  let tick =
+    Option.map
+      (fun s ->
+        Series.set_baseline s (snap ());
+        Obs.set_tap obs (Some (Series.feed s));
+        (Series.window_cycles s, fun ~now -> Series.snapshot s ~time:now (snap ())))
+      series
+  in
+  Runtime.run ~policy ~obs ?tick rt;
+  let duration = Runtime.clock rt in
+  Option.iter
+    (fun s ->
+      Series.finish s ~time:duration (snap ());
+      Obs.set_tap obs None)
+    series;
+  duration
 
 let exec1 machine ?(seed = 0x5EED) f =
   let result = ref None in

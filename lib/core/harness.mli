@@ -20,10 +20,13 @@
     explore an alternative, fully reproducible interleaving of the same
     workload. Returns the simulated duration in cycles (the time the last
     fiber finished). Raises [Invalid_argument] if [threads] exceeds the
-    machine's cores or is not positive. [tick] is forwarded to
-    {!Mt_sim.Runtime.run}: a periodic observation hook fired at every
-    multiple of its interval the simulated clock crosses (the window
-    telemetry snapshot point). [cm] (default {!Mt_cm.Cm.immediate})
+    machine's cores or is not positive. [series] attaches windowed
+    telemetry ({!Mt_obs.Series}) to this run only: its counter baseline
+    is the machine's state at entry, it taps the machine's obs sink for
+    the run, snapshots at every window boundary the simulated clock
+    crosses, and is finished at the returned duration. It needs a
+    recording obs sink on the machine ([retain:false] works) and raises
+    [Invalid_argument] otherwise. [cm] (default {!Mt_cm.Cm.immediate})
     selects the contention-management policy; each core gets a private
     instance, with a jitter stream split off the master PRNG only for
     policies that draw randomness — so the default is byte-identical to
@@ -38,7 +41,7 @@ val exec :
   Mt_sim.Machine.t ->
   ?seed:int ->
   ?policy:Mt_sim.Runtime.policy ->
-  ?tick:int * (now:int -> unit) ->
+  ?series:Mt_obs.Series.t ->
   ?cm:Mt_cm.Cm.spec ->
   threads:int ->
   (Ctx.t -> unit) ->

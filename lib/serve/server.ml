@@ -3,15 +3,12 @@ open Mt_core
 module Obs = Mt_obs.Obs
 module Hist = Mt_obs.Hist
 module Json = Mt_obs.Json
-module Series = Mt_obs.Series
 
 type queues = Shared | Per_worker of { steal : bool }
 
 type admission =
   | Drop
   | Retry of { max_retries : int; backoff_base : int; backoff_cap : int }
-
-type shed = { heat_per_kcycle : float; sample_cycles : int }
 
 type config = {
   workers : int;
@@ -26,13 +23,12 @@ type config = {
   idle_poll_cycles : int;
   seed : int;
   record_dequeues : bool;
-  shed : shed option;
 }
 
 let config ?(batch = 1) ?(queue_capacity = 64) ?(queues = Shared)
     ?(admission = Drop) ?(process = Arrival.Poisson) ?(horizon = 150_000)
     ?(dispatch_cycles = 16) ?(idle_poll_cycles = 32) ?(seed = 1)
-    ?(record_dequeues = false) ?shed ~workers ~rate_per_kcycle () =
+    ?(record_dequeues = false) ~workers ~rate_per_kcycle () =
   if workers <= 0 || workers > 63 then invalid_arg "Server.config: bad workers";
   if batch <= 0 then invalid_arg "Server.config: batch must be positive";
   if queue_capacity <= 0 then invalid_arg "Server.config: bad queue_capacity";
@@ -45,11 +41,6 @@ let config ?(batch = 1) ?(queue_capacity = 64) ?(queues = Shared)
       if max_retries < 0 || backoff_base <= 0 || backoff_cap < backoff_base then
         invalid_arg "Server.config: bad retry policy"
   | Drop -> ());
-  (match shed with
-  | Some { heat_per_kcycle; sample_cycles } ->
-      if not (heat_per_kcycle > 0.0) || sample_cycles <= 0 then
-        invalid_arg "Server.config: bad shed policy"
-  | None -> ());
   {
     workers;
     batch;
@@ -63,61 +54,9 @@ let config ?(batch = 1) ?(queue_capacity = 64) ?(queues = Shared)
     idle_poll_cycles;
     seed;
     record_dequeues;
-    shed;
   }
 
 type req = { id : int; arrival : int; payload : int; mutable attempts : int }
-
-(* Client-side retry buffer: a binary min-heap on (due time, request id) so
-   retries fire in a deterministic order and never delay later arrivals. *)
-module Rheap = struct
-  type t = { mutable a : (int * req) array; mutable n : int }
-
-  let dummy = { id = -1; arrival = 0; payload = 0; attempts = 0 }
-  let create () = { a = Array.make 16 (0, dummy); n = 0 }
-  let min_time h = if h.n = 0 then None else Some (fst h.a.(0))
-
-  let lt (t1, r1) (t2, r2) = t1 < t2 || (t1 = t2 && r1.id < r2.id)
-
-  let push h time req =
-    if h.n = Array.length h.a then begin
-      let a = Array.make (2 * h.n) (0, dummy) in
-      Array.blit h.a 0 a 0 h.n;
-      h.a <- a
-    end;
-    h.a.(h.n) <- (time, req);
-    h.n <- h.n + 1;
-    let i = ref (h.n - 1) in
-    while !i > 0 && lt h.a.(!i) h.a.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      let tmp = h.a.(p) in
-      h.a.(p) <- h.a.(!i);
-      h.a.(!i) <- tmp;
-      i := p
-    done
-
-  let pop h =
-    let (_, r) = h.a.(0) in
-    h.n <- h.n - 1;
-    h.a.(0) <- h.a.(h.n);
-    h.a.(h.n) <- (0, dummy);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r' = (2 * !i) + 2 in
-      let s = ref !i in
-      if l < h.n && lt h.a.(l) h.a.(!s) then s := l;
-      if r' < h.n && lt h.a.(r') h.a.(!s) then s := r';
-      if !s = !i then continue := false
-      else begin
-        let tmp = h.a.(!s) in
-        h.a.(!s) <- h.a.(!i);
-        h.a.(!i) <- tmp;
-        i := !s
-      end
-    done;
-    r
-end
 
 type result = {
   backend : string;
@@ -125,7 +64,6 @@ type result = {
   generated : int;
   completed : int;
   dropped : int;
-  shed_drops : int;
   rejects : int;
   steals : int;
   still_queued : int;
@@ -153,8 +91,6 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ?cm ~name ~setup
   in
   if cfg.Config.num_cores < threads then
     invalid_arg "Server.run: machine has fewer cores than workers + 1";
-  if series <> None && not (Obs.enabled obs) then
-    invalid_arg "Server.run: ?series needs a recording obs sink (retain:false ok)";
   let m = Machine.create ~obs cfg in
   let state = Harness.exec1 m ~seed:c.seed (fun ctx -> setup ctx) in
   let nq = match c.queues with Shared -> 1 | Per_worker _ -> c.workers in
@@ -163,7 +99,6 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ?cm ~name ~setup
   let generated = ref 0
   and completed = ref 0
   and dropped = ref 0
-  and shed_drops = ref 0
   and steals = ref 0 in
   let queue_wait = Hist.create ()
   and service = Hist.create ()
@@ -182,8 +117,9 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ?cm ~name ~setup
 
   (* The arrival fiber: generates timestamped requests from the arrival
      process until [horizon], runs admission (enqueue, or drop / schedule a
-     client-side retry), then drains the retry heap. Retries never shift
-     the arrival clock — the stream stays open-loop. *)
+     client-side retry), then drains the retries. Retries never shift the
+     arrival clock — the stream stays open-loop. Pending retries wait in
+     [retries] under their id; [due] orders them by (due time, id). *)
   let arrival_fiber ctx =
     let core = Ctx.core ctx in
     let arr =
@@ -191,32 +127,9 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ?cm ~name ~setup
         ~seed:(c.seed + 101)
     in
     let pay = Prng.create ~seed:(c.seed + 202) in
-    let heap = Rheap.create () in
+    let due = Pqueue.create () and retries = Hashtbl.create 16 in
     let qid_of req =
       match c.queues with Shared -> 0 | Per_worker _ -> req.id mod c.workers
-    in
-    (* Overload shedding: sample the fabric's aggregate contention signal
-       (validation/CAS/VAS/IAS failures + invalidations — the same "heat"
-       the telemetry windows report) at a fixed cadence; while its rate
-       exceeds the threshold, new arrivals are shed at admission, before
-       they can add to the restart storm. Counters are a pure function of
-       simulated time, so shedding keeps runs deterministic. *)
-    let shedding = ref false in
-    let last_heat = ref 0
-    and last_sample = ref 0 in
-    let sample_shed now =
-      match c.shed with
-      | None -> ()
-      | Some { heat_per_kcycle; sample_cycles } ->
-          if now - !last_sample >= sample_cycles then begin
-            let h = (Stats.series_counters (Machine.total_stats m)).c_heat in
-            let elapsed = now - !last_sample in
-            shedding :=
-              1000.0 *. float_of_int (h - !last_heat) /. float_of_int elapsed
-              > heat_per_kcycle;
-            last_heat := h;
-            last_sample := now
-          end
     in
     let attempt req =
       let q = qs.(qid_of req) in
@@ -243,7 +156,8 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ?cm ~name ~setup
                      attempt = req.attempts;
                      cause = "queue-full";
                    });
-            Rheap.push heap (Ctx.now ctx + b) req
+            Hashtbl.replace retries req.id req;
+            Pqueue.add due ~time:(Ctx.now ctx + b) ~tie:req.id ~aux:req.id
         | _ ->
             incr dropped;
             if Obs.enabled obs then
@@ -256,7 +170,7 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ?cm ~name ~setup
     let continue = ref true in
     while !continue do
       let arr_t = if !next_arrival < c.horizon then Some !next_arrival else None in
-      let retry_t = Rheap.min_time heap in
+      let retry_t = if Pqueue.is_empty due then None else Some (Pqueue.top_time due) in
       let next_event =
         match (arr_t, retry_t) with
         | None, None -> None
@@ -280,18 +194,15 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ?cm ~name ~setup
             if Obs.enabled obs then
               Obs.emit obs ~core ~time:req.arrival
                 (Obs.Req_arrive { id = req.id });
-            sample_shed req.arrival;
-            if !shedding then begin
-              incr dropped;
-              incr shed_drops;
-              if Obs.enabled obs then
-                Obs.emit obs ~core ~time:req.arrival
-                  (Obs.Req_drop
-                     { id = req.id; queue = qid_of req; cause = "overload-shed" })
-            end
-            else attempt req
+            attempt req
           end
-          else attempt (Rheap.pop heap)
+          else begin
+            let id = Pqueue.top_aux due in
+            Pqueue.pop due;
+            let req = Hashtbl.find retries id in
+            Hashtbl.remove retries id;
+            attempt req
+          end
     done;
     gen_done := true
   in
@@ -387,32 +298,14 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ?cm ~name ~setup
             batch
     done
   in
-  (* The series observes the serving phase only (the tap attaches after
-     setup; the counter baseline is the post-setup state); a custom policy
-     (fault injection) likewise drives only the serving phase. *)
-  let snap () = Stats.series_counters (Machine.total_stats m) in
-  (match series with
-  | Some s ->
-      Series.set_baseline s (snap ());
-      Obs.set_tap obs (Some (Series.feed s))
-  | None -> ());
+  (* The series and a custom policy (fault injection) observe and drive
+     the serving phase only, never setup. *)
   let policy = Option.map (fun f -> f m) make_policy in
-  let tick =
-    Option.map
-      (fun s ->
-        (Series.window_cycles s, fun ~now -> Series.snapshot s ~time:now (snap ())))
-      series
-  in
   let duration =
-    Harness.exec m ~seed:c.seed ?policy ?tick ?cm ~threads (fun ctx ->
+    Harness.exec m ~seed:c.seed ?policy ?series ?cm ~threads (fun ctx ->
         let core = Ctx.core ctx in
         if core = c.workers then arrival_fiber ctx else worker_fiber ctx core)
   in
-  (match series with
-  | Some s ->
-      Series.finish s ~time:duration (snap ());
-      Obs.set_tap obs None
-  | None -> ());
   let still_queued = Array.fold_left (fun a q -> a + Queue.length q) 0 qs in
   let max_depth = Array.fold_left (fun a q -> max a (Queue.max_depth q)) 0 qs in
   let rejects = Array.fold_left (fun a q -> a + Queue.rejects q) 0 qs in
@@ -422,7 +315,6 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ?cm ~name ~setup
     generated = !generated;
     completed = !completed;
     dropped = !dropped;
-    shed_drops = !shed_drops;
     rejects;
     steals = !steals;
     still_queued;
@@ -510,17 +402,6 @@ let config_to_json (c : config) =
                 ("backoff_base", Json.Int backoff_base);
                 ("backoff_cap", Json.Int backoff_cap);
               ] );
-      ( "shed",
-        (* No bare nulls at schema v3+: absence is an explicit flag. *)
-        match c.shed with
-        | None -> Json.Obj [ ("enabled", Json.Bool false) ]
-        | Some { heat_per_kcycle; sample_cycles } ->
-            Json.Obj
-              [
-                ("enabled", Json.Bool true);
-                ("heat_per_kcycle", Json.Float heat_per_kcycle);
-                ("sample_cycles", Json.Int sample_cycles);
-              ] );
       ("arrival", Json.String (Arrival.process_name c.process));
       ("offered_per_kcycle", Json.Float c.rate_per_kcycle);
       ("horizon_cycles", Json.Int c.horizon);
@@ -537,7 +418,6 @@ let result_to_json r =
       ("generated", Json.Int r.generated);
       ("completed", Json.Int r.completed);
       ("dropped", Json.Int r.dropped);
-      ("shed_drops", Json.Int r.shed_drops);
       ("enqueue_rejects", Json.Int r.rejects);
       ("steals", Json.Int r.steals);
       ("still_queued", Json.Int r.still_queued);

@@ -124,3 +124,31 @@ module Make (S : Mt_stm.Stm_intf.S) = struct
     in
     go (peek t.root_cell) []
 end
+
+module Set (S : Mt_stm.Stm_intf.S) = struct
+  module M = Make (S)
+
+  (* Each set owns a private STM instance (its own sequence lock). *)
+  type t = { stm : S.t; map : M.t }
+
+  let name = S.name
+
+  (* The map is allocated before the sequence lock; the order fixes both
+     simulated addresses. *)
+  let create ctx =
+    let map = M.create ctx in
+    { stm = S.create ctx; map }
+
+  let insert ctx t k = S.atomically ctx t.stm (fun tx -> M.insert tx t.map k k)
+
+  let delete ctx t k =
+    S.atomically ctx t.stm (fun tx -> M.remove tx t.map k <> None)
+
+  let contains ctx t k =
+    S.atomically ctx t.stm (fun tx -> M.find tx t.map k <> None)
+
+  let scan_plain ctx t ~lo ~hi ~budget =
+    M.scan_keys_plain ctx t.map ~lo ~hi ~budget
+
+  let to_list_unsafe machine t = List.map fst (M.to_alist_unsafe machine t.map)
+end

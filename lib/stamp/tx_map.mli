@@ -37,3 +37,14 @@ module Make (S : Mt_stm.Stm_intf.S) : sig
   (** Timing-free contents for test oracles (quiescent machine only). *)
   val to_alist_unsafe : Mt_sim.Machine.t -> t -> (int * int) list
 end
+
+(** The map as a {!Mt_list.Set_intf.SET} of keys (each key bound to
+    itself), one transaction per operation on a private instance of [S];
+    named [S.name]. [scan_plain] is {!Make.scan_keys_plain} on the
+    underlying map. *)
+module Set (S : Mt_stm.Stm_intf.S) : sig
+  include Mt_list.Set_intf.SET
+
+  val scan_plain :
+    Mt_core.Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
+end

@@ -1,7 +1,8 @@
-(** Typed transaction log shared by {!Norec} and {!Norec_tagged}: the read
-    set (address/value pairs, in read order) and the write buffer (one
-    entry per distinct address, in first-write order, with an
-    open-addressed int index for read-your-own-write lookups).
+(** Typed transaction log of the one NOrec implementation, {!Norec}
+    (tagged NOrec, {!Norec_tagged}, is the same code): the read set
+    (address/value pairs, in read order) and the write buffer (one entry
+    per distinct address, in first-write order, with an open-addressed
+    int index for read-your-own-write lookups).
 
     Everything lives in int arrays that are reused across attempts and
     transactions — one log per core, taken from a {!pool} — so logging a

@@ -31,30 +31,7 @@ end
 (* Each shard owns a private tagged-NOrec instance (its own sequence
    lock), so transactions on distinct shards never conflict at the STM
    layer — cross-shard atomicity is the store's job, not NOrec's. *)
-module Norec_map : S = struct
-  module Stm = Mt_stm.Norec_tagged
-  module TM = Mt_stamp.Tx_map.Make (Stm)
-
-  type t = { stm : Stm.t; map : TM.t }
-
-  let name = "norec-tagged"
-  let create ctx = { stm = Stm.create ctx; map = TM.create ctx }
-
-  let insert ctx t k =
-    Stm.atomically ctx t.stm (fun tx -> TM.insert tx t.map k k)
-
-  let delete ctx t k =
-    Stm.atomically ctx t.stm (fun tx -> TM.remove tx t.map k <> None)
-
-  let contains ctx t k =
-    Stm.atomically ctx t.stm (fun tx -> TM.find tx t.map k <> None)
-
-  let scan_plain ctx t ~lo ~hi ~budget =
-    TM.scan_keys_plain ctx t.map ~lo ~hi ~budget
-
-  let to_list_unsafe machine t =
-    List.map fst (TM.to_alist_unsafe machine t.map)
-end
+module Norec_map : S = Mt_stamp.Tx_map.Set (Mt_stm.Norec_tagged)
 
 let all : (string * (module S)) list =
   [

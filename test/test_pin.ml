@@ -99,6 +99,38 @@ let served_store () =
     stats = stats_digest (Option.get !machine) ~duration:r.Serve.duration;
   }
 
+(* Open-loop service past saturation with client-side Retry admission:
+   small per-worker queues with stealing bounce arrivals, so the retry
+   heap's (due time, request id) order decides every re-attempt. The
+   dequeue log and the admission counters go into the latency digest. *)
+let served_retry () =
+  let module Serve = Mt_serve.Server in
+  let config =
+    Serve.config ~workers:3 ~batch:2 ~queue_capacity:2
+      ~queues:(Serve.Per_worker { steal = true })
+      ~admission:(Serve.Retry { max_retries = 3; backoff_base = 40; backoff_cap = 400 })
+      ~rate_per_kcycle:12.0 ~horizon:30_000 ~record_dequeues:true ()
+  in
+  let machine = ref None in
+  let make_policy m =
+    machine := Some m;
+    Runtime.default_policy
+  in
+  let r =
+    Serve.run_set ~make_policy (module Mt_list.Hoh_list) ~key_range:64 config
+  in
+  {
+    ops = r.Serve.completed;
+    latency =
+      digest
+        (Format.asprintf "%d %d %d %d|%s|%a|%a" r.Serve.generated r.Serve.dropped
+           r.Serve.rejects r.Serve.steals
+           (String.concat ","
+              (List.map (fun (q, id) -> Printf.sprintf "%d:%d" q id) r.Serve.dequeue_log))
+           Mt_obs.Hist.pp r.Serve.e2e Mt_obs.Hist.pp r.Serve.queue_wait);
+    stats = stats_digest (Option.get !machine) ~duration:r.Serve.duration;
+  }
+
 let vacation (module S : Mt_stm.Stm_intf.S) () =
   let module V = Mt_stamp.Vacation.Make (S) in
   let threads = 8 in
@@ -146,6 +178,13 @@ let pins =
         ops = 138;
         latency = "5000b5bf939bfa5213abcb5a7605628e";
         stats = "692d374510bf3c423b12f4b4e12a6e2b";
+      } );
+    ( "served retry hoh-list",
+      served_retry,
+      {
+        ops = 363;
+        latency = "fbb8c6cde293274702e0781de1cb7aec";
+        stats = "9c81c45d7296e0f49c2c3a70a416bd06";
       } );
     ( "vacation norec-tagged",
       vacation (module Mt_stm.Norec_tagged),

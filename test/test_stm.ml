@@ -356,6 +356,53 @@ let test_tagged_overflow_fallback () =
   in
   check_bool "committed through fallback" true (Mt_stm.Norec_tagged.commits stm > 0)
 
+(* One NOrec implementation serves both STMs, so its untagged instance
+   must never reach a tagged step: on a contended vacation run with a
+   squeezed tag set (so the tagged instance surely demotes), baseline
+   NOrec issues no MemTags operation and emits no demotion, while the same
+   run on tagged NOrec tags, validates, acquires by VAS and demotes. *)
+let vacation_tag_use (module S : Mt_stm.Stm_intf.S) =
+  let module V = Mt_stamp.Vacation.Make (S) in
+  let threads = 8 in
+  let obs = Mt_obs.Obs.create ~retain:false ~num_cores:threads () in
+  let demotes = ref 0 in
+  Mt_obs.Obs.set_tap obs
+    (Some
+       (fun e ->
+         match e.Mt_obs.Obs.kind with
+         | Mt_obs.Obs.Stm_demote -> incr demotes
+         | _ -> ()));
+  let m =
+    Machine.create ~obs { (Config.default ~num_cores:threads ()) with max_tags = 8 }
+  in
+  let params = { V.relations = 64; queries = 4; query_pct = 90; user_pct = 80 } in
+  let stm, mgr =
+    Harness.exec1 m (fun ctx ->
+        let stm = S.create ctx in
+        (stm, V.setup ctx stm params))
+  in
+  let (_ : int) =
+    Harness.exec m ~seed:7 ~threads (fun ctx ->
+        for _ = 1 to 15 do
+          V.client_op ctx stm mgr params
+        done)
+  in
+  (S.aborts stm, Machine.total_stats m, !demotes)
+
+let test_untagged_issues_no_tag_ops () =
+  let aborts, st, demotes = vacation_tag_use (module Mt_stm.Norec) in
+  check_bool "norec: contended (aborts)" true (aborts > 0);
+  check_int "norec: tag_adds" 0 st.Stats.tag_adds;
+  check_int "norec: tag_removes" 0 st.Stats.tag_removes;
+  check_int "norec: validates" 0 st.Stats.validates;
+  check_int "norec: vas_ops" 0 st.Stats.vas_ops;
+  check_int "norec: demote events" 0 demotes;
+  let _, st, demotes = vacation_tag_use (module Mt_stm.Norec_tagged) in
+  check_bool "tagged: tag_adds" true (st.Stats.tag_adds > 0);
+  check_bool "tagged: validates" true (st.Stats.validates > 0);
+  check_bool "tagged: vas_ops" true (st.Stats.vas_ops > 0);
+  check_bool "tagged: demote events" true (demotes > 0)
+
 (* A reader parked mid-transaction must abort (via failed validation) when
    a writer commits — detected locally through the tagged lock. *)
 let test_tagged_reader_sees_writer () =
@@ -468,6 +515,8 @@ let () =
         [
           Alcotest.test_case "overflow fallback" `Quick test_tagged_overflow_fallback;
           Alcotest.test_case "parked reader aborts" `Quick test_tagged_reader_sees_writer;
+          Alcotest.test_case "untagged issues no tag ops" `Quick
+            test_untagged_issues_no_tag_ops;
         ] );
       ( "stm-log",
         [
