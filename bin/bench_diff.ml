@@ -1,80 +1,36 @@
-(* Regression sentinel CLI: compare a committed BENCH JSON baseline
-   against a freshly generated document.
+(* Regression sentinel CLI: exact comparison of a committed BENCH JSON
+   baseline with a freshly generated document.
 
-   Usage:  bench_diff [--tol METRIC=REL]... BASELINE CURRENT
+   Usage:  bench_diff BASELINE CURRENT
 
-   Exit status: 0 when every watched metric is inside its tolerance band
-   (improvements included), 1 when at least one metric regressed, 2 on
-   structural mismatch (missing keys, changed identity fields, changed
-   list lengths) or usage/parse errors. The engine and the default bands
-   live in Mt_workload.Bench_compare. *)
+   Prints the first differing leaves as "path: old -> new" and exits 1 on
+   any difference; 2 on usage or parse errors. The simulator is
+   deterministic, so there is no tolerance: a PR that moves a simulated
+   metric regenerates the baseline (Mt_workload.Bench_doc.diff is the
+   engine). *)
 
 module Json = Mt_obs.Json
-module BC = Mt_workload.Bench_compare
 
-let usage = "usage: bench_diff [--tol METRIC=REL]... BASELINE CURRENT"
+let shown = 20
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
 
 let read_json path =
   let ic = try open_in_bin path with Sys_error e -> fail "%s" e in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
+  let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
   try Json.of_string s
   with Json.Parse_error msg -> fail "%s: invalid JSON: %s" path msg
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let rec split bands files = function
-    | "--tol" :: kv :: rest -> (
-        match String.index_opt kv '=' with
-        | Some i -> (
-            let metric = String.sub kv 0 i in
-            let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-            match float_of_string_opt v with
-            | Some rel when rel >= 0.0 ->
-                let band =
-                  match List.assoc_opt metric BC.default_bands with
-                  | Some b -> { b with BC.rel }
-                  | None -> { BC.dir = BC.Higher_better; rel; abs = 0.0 }
-                in
-                split ((metric, band) :: bands) files rest
-            | _ -> fail "bench_diff: bad --tol value %S" kv)
-        | None -> fail "bench_diff: --tol wants METRIC=REL, got %S" kv)
-    | "--tol" :: [] -> fail "%s" usage
-    | a :: rest -> split bands (a :: files) rest
-    | [] -> (bands, List.rev files)
-  in
-  let overrides, files = split [] [] args in
-  let base_file, cur_file =
-    match files with [ b; c ] -> (b, c) | _ -> fail "%s" usage
-  in
-  (* Later --tol wins; unmentioned metrics keep their default band. *)
-  let bands =
-    overrides
-    @ List.filter
-        (fun (m, _) -> not (List.mem_assoc m overrides))
-        BC.default_bands
-  in
-  let baseline = read_json base_file and current = read_json cur_file in
-  let r = BC.compare_docs ~bands ~baseline ~current () in
-  List.iter (Printf.printf "STRUCTURAL %s\n") r.BC.structural;
-  List.iter
-    (fun (f : BC.finding) ->
-      Printf.printf "REGRESSED  %s: %g -> %g (allowed %g)\n" f.BC.path
-        f.BC.base f.BC.cur f.BC.allowed)
-    r.BC.regressed;
-  List.iter
-    (fun (f : BC.finding) ->
-      Printf.printf "improved   %s: %g -> %g\n" f.BC.path f.BC.base f.BC.cur)
-    r.BC.improved;
-  Printf.printf
-    "bench_diff: %d metrics compared, %d regressed, %d improved, %d \
-     structural\n"
-    r.BC.compared
-    (List.length r.BC.regressed)
-    (List.length r.BC.improved)
-    (List.length r.BC.structural);
-  if r.BC.structural <> [] then exit 2
-  else if r.BC.regressed <> [] then exit 1
+  match List.tl (Array.to_list Sys.argv) with
+  | [ base; cur ] ->
+      let diffs = Mt_workload.Bench_doc.diff (read_json base) (read_json cur) in
+      List.iteri
+        (fun i (path, o, n) -> if i < shown then Printf.printf "%s: %s -> %s\n" path o n)
+        diffs;
+      let n = List.length diffs in
+      if n > shown then Printf.printf "... %d more\n" (n - shown);
+      Printf.printf "bench_diff: %d differing leaves\n" n;
+      if n > 0 then exit 1
+  | _ -> fail "usage: bench_diff BASELINE CURRENT"

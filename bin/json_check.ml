@@ -22,8 +22,11 @@
             - contention point ("policy" and "theta"): a "result" object
               and a "cm" object with non-negative integer waits and
               wait_cycles;
-            - headline row ("comparison"): a numeric
-              "measured_peak_speedup" or the skip marker;
+            - verdict row ("claim"): a numeric "min_ratio", a "stated"
+              status ("holds", or "not reproduced" with a
+              "stated_reason"), and either a numeric
+              "measured_min_ratio" with a "verdict" equal to the stated
+              status, or the skip marker;
             - time-series object ("windows"): a full Series export
               (window geometry, marks, every per-window panel including
               "store" and "cm", a latency summary).
@@ -104,15 +107,24 @@ let check_contention_point path j =
         [ "waits"; "wait_cycles" ]
   | _ -> fail "%s: contention point lacks a \"cm\" object" path
 
-let check_headline_row path j =
-  match (Json.member "measured_peak_speedup" j, Json.member "skipped" j) with
-  | Some (Json.Float _ | Json.Int _), _ -> ()
-  | _, Some (Json.Bool true) -> (
-      match Json.member "reason" j with
-      | Some (Json.String _) -> ()
-      | _ -> fail "%s: skipped headline row lacks a \"reason\"" path)
+let check_verdict_row path j =
+  let str k = match Json.member k j with Some (Json.String s) -> Some s | _ -> None in
+  (match Json.member "min_ratio" j with
+  | Some (Json.Float _) -> ()
+  | _ -> fail "%s: verdict row lacks a numeric \"min_ratio\"" path);
+  (match (str "stated", str "stated_reason") with
+  | Some "holds", None | Some "not reproduced", Some _ -> ()
   | _ ->
-      fail "%s: headline row needs a numeric measured_peak_speedup or skipped:true" path
+      fail "%s: verdict row needs stated \"holds\" or \"not reproduced\" with a reason"
+        path);
+  match (Json.member "measured_min_ratio" j, Json.member "skipped" j) with
+  | Some (Json.Float _), _ ->
+      if str "verdict" <> str "stated" then
+        fail "%s: verdict %s differs from the stated status" path
+          (Option.value ~default:"(none)" (str "verdict"))
+  | _, Some (Json.Bool true) ->
+      if str "reason" = None then fail "%s: skipped verdict row lacks a \"reason\"" path
+  | _ -> fail "%s: verdict row needs a numeric measured_min_ratio or skipped:true" path
 
 let check_series path j ws =
   require path "time-series object" j series_fields;
@@ -136,7 +148,7 @@ let rec check_points path j =
       | Some (Json.String _), Some (Json.Float _ | Json.Int _) ->
           check_contention_point path j
       | _ -> ());
-      if has "comparison" then check_headline_row path j;
+      if has "claim" then check_verdict_row path j;
       (match Json.member "windows" j with
       | Some (Json.List ws) -> check_series path j ws
       | Some _ -> fail "%s: \"windows\" must be a list" path

@@ -7,8 +7,8 @@
    pulse, with quiet windows on both sides), request conservation
    between the serve layer's result counters and the per-window series,
    Perfetto flow events for per-request causal chains, hot-line profiler
-   determinism, and the Bench_compare tolerance-band engine, including
-   the must-fail check on the committed BENCH baselines. *)
+   determinism, and the sentinel's exact differ on the committed
+   BENCH_quick.json baseline. *)
 
 module Obs = Mt_obs.Obs
 module Series = Mt_obs.Series
@@ -17,7 +17,7 @@ module Hist = Mt_obs.Hist
 module Trace = Mt_obs.Trace
 module Spec = Mt_workload.Spec
 module Driver = Mt_workload.Driver
-module BC = Mt_workload.Bench_compare
+module Bench_doc = Mt_workload.Bench_doc
 module Serve = Mt_serve.Server
 module Inject = Mt_adversary.Inject
 module Scenario = Mt_adversary.Scenario
@@ -234,130 +234,112 @@ let test_hot_lines_topk_prefix () =
     top3
 
 (* ------------------------------------------------------------------ *)
-(* Bench_compare: the regression sentinel's tolerance-band engine. *)
+(* The regression sentinel's exact differ (Bench_doc.diff), on the
+   committed baseline. dune copies BENCH_quick.json one level above the
+   test executable. *)
 
-let doc ?(thr = 10.0) ?(p99 = 400) ?(impl = "hoh-list") ?(extra = []) () =
-  Json.Obj
-    ([
-       ("schema_version", Json.Int 3);
-       ("impl", Json.String impl);
-       ("throughput_per_kcycle", Json.Float thr);
-       ("latency", Json.Obj [ ("p99", Json.Int p99) ]);
-     ]
-    @ extra)
+let baseline () =
+  let dir = Filename.dirname Sys.executable_name in
+  let ic = open_in_bin (Filename.concat dir "../BENCH_quick.json") in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Json.of_string s
+
+let diff_lines old_doc new_doc =
+  List.map (fun (p, o, n) -> p ^ ": " ^ o ^ " -> " ^ n) (Bench_doc.diff old_doc new_doc)
+
+let check_lines = Alcotest.(check (list string))
 
 let test_compare_self () =
-  let r = BC.compare_docs ~baseline:(doc ()) ~current:(doc ()) () in
-  check_bool "ok" true (BC.ok r);
-  check_int "metrics compared" 2 r.BC.compared;
-  check_int "no regressions" 0 (List.length r.BC.regressed)
-
-let test_compare_within_band () =
-  (* -20% throughput and +30% p99 are inside the default bands. *)
-  let r =
-    BC.compare_docs ~baseline:(doc ()) ~current:(doc ~thr:8.0 ~p99:520 ()) ()
-  in
-  check_bool "ok" true (BC.ok r)
+  let b = baseline () in
+  check_lines "no differing leaves" [] (diff_lines b b)
 
 let test_compare_regression () =
-  let r = BC.compare_docs ~baseline:(doc ()) ~current:(doc ~thr:5.0 ()) () in
-  check_bool "not ok" false (BC.ok r);
-  (match r.BC.regressed with
-  | [ f ] ->
-      check_string "metric" "throughput_per_kcycle" f.BC.metric;
-      check_bool "band edge" true (f.BC.allowed > 5.0 && f.BC.allowed < 10.0)
-  | l -> Alcotest.failf "expected 1 regression, got %d" (List.length l));
-  (* A latency explosion past rel+abs slack regresses too. *)
-  let r = BC.compare_docs ~baseline:(doc ()) ~current:(doc ~p99:2000 ()) () in
-  check_int "p99 regression" 1 (List.length r.BC.regressed)
+  let doc thr =
+    Json.Obj
+      [ ("impl", Json.String "hoh-list");
+        ("result", Json.Obj [ ("throughput_per_kcycle", Json.Float thr) ]) ]
+  in
+  check_lines "one ulp down is reported with its path"
+    [ ".result.throughput_per_kcycle: 10.0 -> 9.9999999999999982" ]
+    (diff_lines (doc 10.0) (doc (Float.pred 10.0)))
 
-let test_compare_improvement_not_fatal () =
-  let r = BC.compare_docs ~baseline:(doc ()) ~current:(doc ~thr:20.0 ()) () in
-  check_bool "ok despite change" true (BC.ok r);
-  check_int "reported as improvement" 1 (List.length r.BC.improved)
+(* The first numeric leaf of [j] in document order, moved by one ulp (one
+   for an integer), with the path Bench_doc.diff names it by. *)
+let rec bump path = function
+  | Json.Int n -> Some (Json.Int (n + 1), path)
+  | Json.Float x -> Some (Json.Float (Float.succ x), path)
+  | Json.Obj kvs ->
+      let rec go acc = function
+        | [] -> None
+        | (k, v) :: rest -> (
+            match bump (path ^ "." ^ k) v with
+            | Some (v', p) -> Some (Json.Obj (List.rev_append acc ((k, v') :: rest)), p)
+            | None -> go ((k, v) :: acc) rest)
+      in
+      go [] kvs
+  | Json.List l ->
+      let rec go i acc = function
+        | [] -> None
+        | v :: rest -> (
+            match bump (Printf.sprintf "%s[%d]" path i) v with
+            | Some (v', p) -> Some (Json.List (List.rev_append acc (v' :: rest)), p)
+            | None -> go (i + 1) (v :: acc) rest)
+      in
+      go 0 [] l
+  | _ -> None
+
+(* The document's top-level sections: its object- and list-valued keys. *)
+let sections doc =
+  match doc with
+  | Json.Obj kvs ->
+      List.filter (fun (_, v) -> match v with Json.Obj _ | Json.List _ -> true | _ -> false) kvs
+  | _ -> Alcotest.fail "baseline is not an object"
+
+let replace_section doc key v =
+  match doc with
+  | Json.Obj kvs -> Json.Obj (List.map (fun (k, v0) -> (k, if k = key then v else v0)) kvs)
+  | _ -> assert false
+
+let test_compare_ulp_per_section () =
+  let b = baseline () in
+  Alcotest.(check (list string))
+    "every section"
+    [ "figures"; "spurious"; "ablation"; "headline"; "latency"; "store"; "contention";
+      "timeseries" ]
+    (List.map fst (sections b));
+  List.iter
+    (fun (key, v) ->
+      match bump ("." ^ key) v with
+      | None -> Alcotest.failf "section %s has no numeric leaf" key
+      | Some (v', path) -> (
+          match Bench_doc.diff b (replace_section b key v') with
+          | [ (p, o, n) ] ->
+              check_string (key ^ " path") path p;
+              check_bool (key ^ " old <> new") true (o <> n)
+          | d -> Alcotest.failf "section %s: %d differing leaves, want 1" key (List.length d)))
+    (sections b)
 
 let test_compare_structural () =
-  (* Missing key. *)
-  let current =
-    Json.Obj
-      [
-        ("schema_version", Json.Int 3);
-        ("impl", Json.String "hoh-list");
-        ("latency", Json.Obj [ ("p99", Json.Int 400) ]);
-      ]
+  let b = baseline () in
+  let rows key =
+    match List.assoc key (sections b) with Json.List l -> l | _ -> Alcotest.fail key
   in
-  let r = BC.compare_docs ~baseline:(doc ()) ~current () in
-  check_bool "missing key fails" false (BC.ok r);
-  check_int "structural" 1 (List.length r.BC.structural);
-  (* Identity mismatch. *)
-  let r =
-    BC.compare_docs ~baseline:(doc ()) ~current:(doc ~impl:"vas-list" ()) ()
+  (* A key missing from the first contention row. *)
+  let first_without_cm =
+    match rows "contention" with
+    | Json.Obj kvs :: rest -> Json.List (Json.Obj (List.remove_assoc "cm" kvs) :: rest)
+    | _ -> Alcotest.fail "no contention row"
   in
-  check_bool "identity change fails" false (BC.ok r);
-  (* Changed list length. *)
-  let with_list l = doc ~extra:[ ("rows", Json.List l) ] () in
-  let r =
-    BC.compare_docs
-      ~baseline:(with_list [ Json.Int 1; Json.Int 2 ])
-      ~current:(with_list [ Json.Int 1 ]) ()
-  in
-  check_bool "length change fails" false (BC.ok r)
-
-let test_compare_band_override () =
-  (* Tightening the band to zero makes any drift a regression. *)
-  let bands =
-    ("throughput_per_kcycle",
-     { BC.dir = BC.Higher_better; rel = 0.0; abs = 0.0 })
-    :: BC.default_bands
-  in
-  let r =
-    BC.compare_docs ~bands ~baseline:(doc ()) ~current:(doc ~thr:9.99 ()) ()
-  in
-  check_int "zero band regresses" 1 (List.length r.BC.regressed)
-
-(* The committed baselines' must-fail check: each BENCH document against
-   itself with one watched metric halved on its first point must fail.
-   The leaves are the ones the sentinel sweeps regenerate (BENCH_4's
-   timeline, BENCH_6's store and BENCH_7's contention panels). dune
-   copies the baselines one level above the test executable. *)
-let test_compare_halved_baselines () =
-  let read file =
-    let dir = Filename.dirname Sys.executable_name in
-    let ic = open_in_bin (Filename.concat dir ("../" ^ file)) in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Json.of_string s
-  in
-  let update key f = function
-    | Json.Obj kvs ->
-        Json.Obj (List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) kvs)
-    | _ -> Alcotest.failf "no object around %S" key
-  in
-  let first f = function
-    | Json.List (x :: rest) -> Json.List (f x :: rest)
-    | _ -> Alcotest.fail "empty panel"
-  in
-  let halve = function
-    | Json.Float x -> Json.Float (x /. 2.0)
-    | Json.Int n -> Json.Float (float_of_int n /. 2.0)
-    | _ -> Alcotest.fail "metric is not a number"
-  in
-  List.iter
-    (fun (file, panel, metric) ->
-      let baseline = read file in
-      check_bool (file ^ " self-compare ok") true
-        (BC.ok (BC.compare_docs ~baseline ~current:baseline ()));
-      let current =
-        update panel (first (update "result" (update metric halve))) baseline
-      in
-      let r = BC.compare_docs ~baseline ~current () in
-      check_bool (file ^ " halved " ^ metric ^ " fails") false (BC.ok r);
-      check_int (file ^ " one regression") 1 (List.length r.BC.regressed))
-    [
-      ("BENCH_4.json", "timeseries", "throughput_per_kcycle");
-      ("BENCH_6.json", "store", "goodput_per_kcycle");
-      ("BENCH_7.json", "contention", "throughput_per_kcycle");
-    ]
+  (match Bench_doc.diff b (replace_section b "contention" first_without_cm) with
+  | [ (p, _, "(missing)") ] -> check_string "missing key path" ".contention[0].cm" p
+  | d -> Alcotest.failf "missing key: %d differing leaves" (List.length d));
+  (* One row fewer. *)
+  let n = List.length (rows "spurious") in
+  let shorter = Json.List (List.filteri (fun i _ -> i < n - 1) (rows "spurious")) in
+  check_lines "list length"
+    [ Printf.sprintf ".spurious.length: %d -> %d" n (n - 1) ]
+    (diff_lines b (replace_section b "spurious" shorter))
 
 (* ------------------------------------------------------------------ *)
 
@@ -397,15 +379,11 @@ let () =
       ( "compare",
         [
           Alcotest.test_case "self compare ok" `Quick test_compare_self;
-          Alcotest.test_case "within band ok" `Quick test_compare_within_band;
           Alcotest.test_case "regression detected" `Quick
             test_compare_regression;
-          Alcotest.test_case "improvement not fatal" `Quick
-            test_compare_improvement_not_fatal;
+          Alcotest.test_case "one ulp fails in every section" `Quick
+            test_compare_ulp_per_section;
           Alcotest.test_case "structural mismatches" `Quick
             test_compare_structural;
-          Alcotest.test_case "band override" `Quick test_compare_band_override;
-          Alcotest.test_case "halved baselines fail" `Quick
-            test_compare_halved_baselines;
         ] );
     ]
